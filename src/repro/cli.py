@@ -209,8 +209,9 @@ class _ObsSession:
         if self.plans is not None:
             obs.records.set_plan_sink(None)
             if not self.plans:
-                print("; --plan-dump: no candidate plans were built",
-                      file=sys.stderr)
+                print("; --plan-dump: no candidate plans were built "
+                      "(legacy builds none; try --plan-select "
+                      "greedy-savings)", file=sys.stderr)
             lines = [
                 json.dumps(entry, sort_keys=True, separators=(",", ":"))
                 for entry in self.plans
@@ -254,7 +255,8 @@ def _add_obs_options(parser: argparse.ArgumentParser,
         parser.add_argument(
             "--plan-dump", metavar="FILE.jsonl", default=None,
             help="write every enumerated candidate plan (with its "
-                 "selection outcome) as canonical JSONL",
+                 "selection outcome) as canonical JSONL; only the "
+                 "selecting --plan-select modes build plans",
         )
 
 
@@ -371,9 +373,7 @@ def cmd_compile(args) -> int:
     if args.print_before:
         print("; --- before ---")
         print(print_module(module))
-    module_meter = None
-    if config.budget is not None and config.budget.has_module_caps:
-        module_meter = ModuleMeter(config.budget)
+    module_meter = ModuleMeter.for_budget(config.budget)
     for func in module.functions.values():
         result = compile_function(func, config, target,
                                   verify_each=args.verify_each,

@@ -82,20 +82,18 @@ class CompileResult:
 
 
 class _VectorizePass:
-    """Adapter so the SLP vectorizer can sit in a PassManager and still
-    surface its report.  ``module_meter`` (when given) shares one
-    module-scope budget across every function compiled through this
-    pipeline instance — the whole-compile admission unit batch jobs
-    use."""
+    """Adapter so an SLP driver call can sit in a PassManager and still
+    surface its report.  ``run`` vectorizes one function: either a whole
+    plan/select/apply (:meth:`SLPVectorizer.run_function`) or one
+    function's share of a module-wide selection
+    (:meth:`ModuleVectorizationDriver.apply_function`)."""
 
-    def __init__(self, config: VectorizerConfig, target: TargetCostModel,
-                 module_meter: Optional[ModuleMeter] = None):
-        self.vectorizer = SLPVectorizer(config, target)
-        self.module_meter = module_meter
+    def __init__(self, run: Callable[[Function], VectorizationReport]):
+        self.run = run
         self.report: Optional[VectorizationReport] = None
 
     def __call__(self, func: Function) -> bool:
-        report = self.vectorizer.run_function(func, self.module_meter)
+        report = self.run(func)
         if self.report is None:
             self.report = report
         else:
@@ -177,7 +175,10 @@ def build_pipeline(config: VectorizerConfig,
                    module_meter: Optional[ModuleMeter] = None,
                    ) -> tuple[PassManager, _VectorizePass | None]:
     """A pipeline for ``config``; also returns the report-capturing
-    vectorizer pass (None for O3)."""
+    vectorizer pass (None for O3).  ``module_meter`` (when given) shares
+    one module-scope budget across every function compiled through this
+    pipeline instance — the whole-compile admission unit batch jobs
+    use."""
     target = target if target is not None else skylake_like()
     if faults is not None:
         target = faults.perturb_cost_model(target)
@@ -187,7 +188,10 @@ def build_pipeline(config: VectorizerConfig,
                               loop_vectorize=config.loop_vectorize)
     vectorize = None
     if config.enabled:
-        vectorize = _VectorizePass(config, target, module_meter)
+        vectorizer = SLPVectorizer(config, target)
+        vectorize = _VectorizePass(
+            lambda func: vectorizer.run_function(func, module_meter)
+        )
         manager.add("slp", vectorize)
         manager.add("dce-post", run_dce)
     if faults is not None:
@@ -238,25 +242,41 @@ def compile_function(func: Function, config: VectorizerConfig,
     with span("compile.function", function=func.name,
               config=config.name):
         timing = manager.run_function(func)
-        result = CompileResult(
-            func, config, timing,
-            report=VectorizationReport(func.name, config.name),
-        )
-        if vectorize is not None and vectorize.report is not None:
-            result.report = vectorize.report
-        if pass_guard is not None:
-            try:
-                if pass_guard.policy.oracle is not None:
-                    with span("oracle.verify", function=func.name):
-                        pass_guard.run_oracle(func)
-                else:
+        return _finish(func, config, timing, vectorize, pass_guard,
+                       _scalar_remarks(manager))
+
+
+def _scalar_remarks(manager: PassManager) -> list[Remark]:
+    """The decline remarks the scalar pipeline's unroll and if-convert
+    passes collected."""
+    return (list(getattr(manager, "unroll_remarks", []))
+            + list(getattr(manager, "ifconvert_remarks", [])))
+
+
+def _finish(func: Function, config: VectorizerConfig,
+            timing: PipelineResult, vectorize: Optional[_VectorizePass],
+            pass_guard: Optional[PassGuard],
+            scalar_remarks: list[Remark]) -> CompileResult:
+    """Close one function's compile: run the guard's differential
+    oracle and finish it, then gather the report and every remark."""
+    result = CompileResult(
+        func, config, timing,
+        report=VectorizationReport(func.name, config.name),
+    )
+    if vectorize is not None and vectorize.report is not None:
+        result.report = vectorize.report
+    if pass_guard is not None:
+        try:
+            if pass_guard.policy.oracle is not None:
+                with span("oracle.verify", function=func.name):
                     pass_guard.run_oracle(func)
-            finally:
-                pass_guard.finish()
-            result.remarks = pass_guard.diagnostics.remarks
-            result.rolled_back = pass_guard.rolled_back
-    result.remarks.extend(getattr(manager, "unroll_remarks", []))
-    result.remarks.extend(getattr(manager, "ifconvert_remarks", []))
+            else:
+                pass_guard.run_oracle(func)
+        finally:
+            pass_guard.finish()
+        result.remarks = pass_guard.diagnostics.remarks
+        result.rolled_back = pass_guard.rolled_back
+    result.remarks.extend(scalar_remarks)
     result.remarks.extend(result.report.remarks)
     return result
 
@@ -275,12 +295,11 @@ def compile_module(module: Module, config: VectorizerConfig,
     All functions share one module-scope budget meter when the config's
     budget carries module caps — the whole-compile budget the ROADMAP
     calls for, and the service's per-job admission unit.  The module-*
-    plan-select modes take the two-phase driver
-    (:func:`compile_module_planned`); ``oracles`` optionally maps each
-    function to its differential oracle."""
-    if (module_meter is None and config.budget is not None
-            and config.budget.has_module_caps):
-        module_meter = ModuleMeter(config.budget)
+    plan-select modes plan every function before one module-wide
+    selection (:func:`compile_module_planned`); ``oracles`` optionally
+    maps each function to its differential oracle."""
+    if module_meter is None:
+        module_meter = ModuleMeter.for_budget(config.budget)
     if config.enabled and config.plan_select in MODULE_SELECT_MODES:
         return compile_module_planned(
             module, config, target, guard=guard, faults=faults,
@@ -292,21 +311,6 @@ def compile_module(module: Module, config: VectorizerConfig,
                          oracle=oracles(func) if oracles else None)
         for func in module.functions.values()
     ]
-
-
-class _ApplyModulePass:
-    """Adapter running one function's module-scope apply phase inside a
-    PassManager, so the pass guard's snapshot/rollback (and its oracle
-    reference capture on the "slp" pass) cover it exactly like the
-    per-block vectorizer pass."""
-
-    def __init__(self, driver: ModuleVectorizationDriver):
-        self.driver = driver
-        self.report: Optional[VectorizationReport] = None
-
-    def __call__(self, func: Function) -> bool:
-        self.report = self.driver.apply_function(func)
-        return self.report.num_vectorized > 0
 
 
 def compile_module_planned(module: Module, config: VectorizerConfig,
@@ -335,9 +339,6 @@ def compile_module_planned(module: Module, config: VectorizerConfig,
     target = target if target is not None else skylake_like()
     if faults is not None:
         target = faults.perturb_cost_model(target)
-    if (module_meter is None and config.budget is not None
-            and config.budget.has_module_caps):
-        module_meter = ModuleMeter(config.budget)
     driver = ModuleVectorizationDriver(config, target, module_meter)
 
     # Phase 1: scalar passes, then read-only planning, per function.
@@ -358,17 +359,18 @@ def compile_module_planned(module: Module, config: VectorizerConfig,
                   config=config.name):
             timing = manager.run_function(func)
         driver.plan_function(func)
-        scalar_remarks = list(getattr(manager, "unroll_remarks", []))
-        scalar_remarks.extend(getattr(manager, "ifconvert_remarks", []))
-        staged.append((func, timing, pass_guard, scalar_remarks))
+        staged.append((func, timing, pass_guard, _scalar_remarks(manager)))
 
     # Phase 2: one module-wide selection over the pooled candidates.
     driver.select()
 
-    # Phase 3: materialize per function, guarded, in planning order.
+    # Phase 3: materialize per function, guarded, in planning order.  The
+    # apply runs as the "slp" pass, so the pass guard's snapshot/rollback
+    # (and its oracle reference capture) cover it exactly like
+    # compile_function's vectorizer pass.
     results: list[CompileResult] = []
-    for func, timing, pass_guard, ifc_remarks in staged:
-        vectorize = _ApplyModulePass(driver)
+    for func, timing, pass_guard, scalar_remarks in staged:
+        vectorize = _VectorizePass(driver.apply_function)
         manager = (
             PassManager(guard=pass_guard)
             .add("slp", vectorize)
@@ -379,26 +381,8 @@ def compile_module_planned(module: Module, config: VectorizerConfig,
         with span("compile.function", function=func.name,
                   config=config.name):
             manager.run_function(func, result=timing)
-            result = CompileResult(
-                func, config, timing,
-                report=VectorizationReport(func.name, config.name),
-            )
-            if vectorize.report is not None:
-                result.report = vectorize.report
-            if pass_guard is not None:
-                try:
-                    if pass_guard.policy.oracle is not None:
-                        with span("oracle.verify", function=func.name):
-                            pass_guard.run_oracle(func)
-                    else:
-                        pass_guard.run_oracle(func)
-                finally:
-                    pass_guard.finish()
-                result.remarks = pass_guard.diagnostics.remarks
-                result.rolled_back = pass_guard.rolled_back
-        result.remarks.extend(ifc_remarks)
-        result.remarks.extend(result.report.remarks)
-        results.append(result)
+            results.append(_finish(func, config, timing, vectorize,
+                                   pass_guard, scalar_remarks))
     return results
 
 

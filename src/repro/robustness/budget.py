@@ -117,6 +117,16 @@ class ModuleMeter:
         self._deadline: Optional[float] = None
         self._tripped: set[str] = set()
 
+    @classmethod
+    def for_budget(cls, budget: Optional[Budget]
+                   ) -> Optional["ModuleMeter"]:
+        """The meter one compile shares across its functions, or None
+        when ``budget`` has no module caps — the one place that decides
+        whether a compile is module-metered."""
+        if budget is None or not budget.has_module_caps:
+            return None
+        return cls(budget)
+
     def start_function(self) -> None:
         """Called once per function; the first call arms the deadline."""
         self.functions_started += 1

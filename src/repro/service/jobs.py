@@ -385,11 +385,7 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
     module = _load_module(job)
     target = TargetCostModel(job.target_desc)
     config = job.config
-    module_meter = (
-        ModuleMeter(config.budget)
-        if config.budget is not None and config.budget.has_module_caps
-        else None
-    )
+    module_meter = ModuleMeter.for_budget(config.budget)
     guard = None if job.guard == "off" else job.guard
 
     merged = VectorizationReport(job.name, config.name)

@@ -23,9 +23,9 @@ from .plan import (
     PLAN_SELECT_MODES,
     Applier,
     BlockPlan,
+    ModuleSelector,
     Planner,
     Selection,
-    Selector,
     TreePlan,
 )
 from .reductions import ReductionPlan, emit_reduction, plan_reduction
@@ -63,6 +63,7 @@ __all__ = [
     "GraphCost",
     "initial_mode",
     "LookAheadContext",
+    "ModuleSelector",
     "MultiNode",
     "NodeCost",
     "OperandMode",
@@ -75,7 +76,6 @@ __all__ = [
     "ReorderResult",
     "SeedGroup",
     "Selection",
-    "Selector",
     "TreePlan",
     "SLPGraph",
     "SLPNode",

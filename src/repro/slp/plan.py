@@ -2,36 +2,34 @@
 
 The historical vectorizer was greedy and in-place: ``_try_store_tree``
 built one graph per seed, costed it, and immediately mutated the IR, so
-overlapping seeds, width choices and policy choices were decided
-first-come-first-served.  goSLP (PAPERS.md) showed that lifting those
-local decisions into a global selection problem recovers real speedups;
-this module performs that inversion in three layers:
+overlapping seeds and width choices were decided first-come-first-served.
+goSLP (PAPERS.md) showed that lifting those local decisions into a
+global selection problem recovers real speedups; this module performs
+that inversion in three layers:
 
 * :class:`Planner` enumerates immutable :class:`TreePlan` candidates per
   block — the full-width seed *and* both halves eagerly (recursively,
-  down to VL2), plus reduction plans and, optionally, the same seed
-  under alternative build policies — without touching the IR.
-* :class:`Selector` resolves conflicts between plans that claim the same
-  stores/instructions and picks the subset with the best total cost.
-  The default ``legacy`` mode defers entirely to the applier's greedy
-  first-fit (reproducing the historical pipeline byte-for-byte);
-  ``greedy-savings`` and ``exhaustive`` are opt-in and budget-metered.
+  down to VL2), plus reduction plans — without touching the IR.
+* :class:`ModuleSelector` resolves conflicts between plans that claim
+  the same stores/instructions and picks the subset with the best total
+  cost.  The mode decides the candidate pool: ``greedy-savings`` and
+  ``exhaustive`` pool each block on its own, the ``module-*`` modes pool
+  every block of the module.  Selection is budget-metered.
 * :class:`Applier` materializes the chosen plans through
   :class:`~repro.slp.codegen.VectorCodeGen` in deterministic order,
   rebuilding and re-checking each tree at apply time (an earlier
-  application can invalidate a plan-time verdict).
+  application can invalidate a plan-time verdict), then runs the
+  first-fit sweep over whatever selection left on the table.
 
-Byte-stability contract: in ``legacy`` mode the applier re-runs the
-historical greedy loop *exactly* — same seed iteration, same graph
-builds charged to the same function meter, same records, same report —
-while the planner runs beforehand on its own analysis context and its
-own phase-scoped budget meter, so planning never perturbs what the
-legacy path produces.
+The default ``legacy`` mode chooses nothing, so it needs no candidates:
+the planner and selector never run, and the applier's first-fit sweep
+*is* the historical greedy loop — same seed iteration, same graph builds
+charged to the same function meter, same records, same report.
 
-Every candidate's fate is observable: ``plan`` records at enumeration,
-``select``/``reject`` records after reconciliation, ``plan.*`` metrics,
-and full plan dumps through :func:`repro.obs.records.capture_plan`
-(the CLI's ``--plan-dump``).
+Every candidate's fate is observable in the selecting modes: ``plan``
+records at enumeration, ``select``/``reject`` records after
+reconciliation, ``plan.*`` metrics, and full plan dumps through
+:func:`repro.obs.records.capture_plan` (the CLI's ``--plan-dump``).
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from ..obs import records as _records
 from ..obs.tracing import span
 from ..robustness.budget import BudgetMeter
 from ..robustness.diagnostics import Remark, Severity
-from .builder import BuildPolicy, BuildStats, GraphBuilder
+from .builder import BuildStats, GraphBuilder
 from .codegen import VectorCodeGen
 from .cost import GraphCost, compute_graph_cost
 from .graph import SLPGraph
@@ -67,20 +65,8 @@ PLAN_SELECT_MODES: tuple[str, ...] = (
     "legacy", "greedy-savings", "exhaustive",
 ) + MODULE_SELECT_MODES
 
-#: named build-policy overrides the planner can enumerate per seed
-#: (``VectorizerConfig.plan_policy_variants``); informational candidates
-#: that are never applied
-POLICY_VARIANTS: dict[str, dict] = {
-    "slp-nr": dict(enable_reordering=False, look_ahead_depth=0,
-                   multi_node_max_size=1),
-    "slp": dict(enable_reordering=True, look_ahead_depth=0,
-                multi_node_max_size=1),
-    "lslp": dict(enable_reordering=True, look_ahead_depth=8,
-                 multi_node_max_size=None),
-}
-
-#: subsets the exhaustive selector may visit when no explicit
-#: ``Budget.max_select_subsets`` cap is set
+#: subsets the exhaustive selector may visit per candidate pool when no
+#: explicit ``Budget.max_select_subsets`` cap is set
 DEFAULT_SELECT_SUBSETS = 4096
 
 
@@ -120,9 +106,6 @@ class TreePlan:
     #: ``plan_id`` this is the plan's stable module-wide identity
     function: str = ""
     block: str = ""
-    #: build policy: "default" (the config's own) or a
-    #: :data:`POLICY_VARIANTS` name
-    policy: str = "default"
     #: plan id of the full-width plan this half descends from
     parent_id: Optional[int] = None
     schedulable: bool = False
@@ -162,7 +145,6 @@ class TreePlan:
             "function": self.function,
             "block": self.block,
             "vector_length": self.vector_length,
-            "policy": self.policy,
             "parent_id": self.parent_id,
             "schedulable": self.schedulable,
             "reason": self.reason,
@@ -243,7 +225,7 @@ class BlockPlan:
     function: str = ""
     #: plan id → plan, in enumeration (pre-)order
     plans: dict[int, TreePlan] = field(default_factory=dict)
-    #: plan ids of the top-level (full-width, default-policy) store plans
+    #: plan ids of the top-level (full-width) store plans
     roots: list[int] = field(default_factory=list)
     #: plan ids of the reduction plans
     reductions: list[int] = field(default_factory=list)
@@ -285,8 +267,9 @@ class Planner:
     Runs on its own :class:`LookAheadContext`/:class:`AliasAnalysis`
     (never the applier's — shared SCEV caches would let pre-mutation
     facts leak into apply-time graph builds) and charges a phase-scoped
-    budget meter, so planning perturbs neither the legacy byte-stream
-    nor the apply phase's budget accounting.
+    budget meter, so planning never perturbs the apply phase's budget
+    accounting.  Only the selecting modes plan: ``legacy`` chooses
+    nothing, so it needs no candidates.
     """
 
     def __init__(self, config, target, ids: Optional[itertools.count] = None,
@@ -317,11 +300,6 @@ class Planner:
                     block_plan, block, seed, ctx, aa, meter, parent=None
                 )
                 block_plan.roots.append(root_id)
-                for policy in self.config.plan_policy_variants:
-                    if meter.time_exceeded():
-                        break
-                    self._plan_store(block_plan, block, seed, ctx, aa,
-                                     meter, parent=None, policy=policy)
             if self.config.enable_reductions:
                 for seed in collect_reduction_seeds(block):
                     if not seed.alive():
@@ -343,7 +321,7 @@ class Planner:
         only on rejection, unlike the legacy width descent — so the
         selector can weigh half-plans against an accepted full plan."""
         plan = self._plan_store(block_plan, block, seed, ctx, aa, meter,
-                                parent=parent, policy="default")
+                                parent=parent)
         if seed.vector_length >= 4 and not meter.time_exceeded():
             half = seed.vector_length // 2
             left = self._plan_store_family(
@@ -360,10 +338,10 @@ class Planner:
     def _plan_store(self, block_plan: BlockPlan, block: BasicBlock,
                     seed: SeedGroup, ctx: LookAheadContext,
                     aa: AliasAnalysis, meter: BudgetMeter,
-                    parent: Optional[int], policy: str) -> TreePlan:
-        builder = GraphBuilder(self._policy(policy, meter), self.target,
+                    parent: Optional[int]) -> TreePlan:
+        builder = GraphBuilder(self.config.build_policy(meter), self.target,
                                ctx)
-        with span("slp.plan_graph", vl=seed.vector_length, policy=policy):
+        with span("slp.plan_graph", vl=seed.vector_length):
             graph = builder.build(seed.stores)
         cost = compute_graph_cost(graph, self.target)
         if graph.root is None or graph.root.is_gather:
@@ -382,7 +360,6 @@ class Planner:
             plan_id=next(self.ids),
             function=self.function,
             block=block.name,
-            policy=policy,
             parent_id=parent,
             schedulable=schedulable,
             reason=reason,
@@ -444,20 +421,6 @@ class Planner:
             _metrics.add("pressure.excess_registers", excess)
         return pressure, excess
 
-    def _policy(self, name: str, meter: BudgetMeter) -> BuildPolicy:
-        if name == "default":
-            return self.config.build_policy(meter)
-        overrides = POLICY_VARIANTS[name]
-        return BuildPolicy(
-            enable_reordering=overrides["enable_reordering"],
-            look_ahead_depth=overrides["look_ahead_depth"],
-            multi_node_max_size=overrides["multi_node_max_size"],
-            score_function=self.config.score_function,
-            reorder_strategy=self.config.reorder_strategy,
-            enable_splat_detection=self.config.enable_splat_detection,
-            meter=meter,
-        )
-
 
 def _emit_plan_record(plan: TreePlan) -> None:
     if _records.active_sink() is None:
@@ -470,99 +433,13 @@ def _emit_plan_record(plan: TreePlan) -> None:
         vector_length=plan.vector_length,
         cost=plan.total_cost,
         schedulable=plan.schedulable,
-        policy=plan.policy,
         parent_id=plan.parent_id,
         reason=plan.reason,
     )
 
 
 # ---------------------------------------------------------------------------
-# Selector
-# ---------------------------------------------------------------------------
-
-
-class Selector:
-    """Picks a non-conflicting subset of the block's candidates.
-
-    ``legacy`` never reaches here (the vectorizer skips selection and
-    lets the applier's greedy first-fit decide).  The other modes pick
-    among default-policy store plans only — policy variants are
-    informational, and reductions are still handled by the applier's
-    legacy loop because their seeds are collected on post-store IR.
-
-    A mode's pick replaces the legacy shape only when its plan-time
-    total is *strictly* better than the simulated first-fit total;
-    otherwise the first-fit subset is kept, so selection can only
-    deviate when the savings model says it wins.
-    """
-
-    def __init__(self, config):
-        if config.plan_select not in PLAN_SELECT_MODES:
-            raise ValueError(
-                f"unknown plan-select mode {config.plan_select!r}; "
-                f"use one of {', '.join(PLAN_SELECT_MODES)}"
-            )
-        self.mode = config.plan_select
-        self.threshold = config.cost_threshold
-        self.weight = config.reg_pressure_weight
-
-    def select(self, block_plan: BlockPlan,
-               meter: BudgetMeter) -> Selection:
-        with span("slp.select", mode=self.mode, block=block_plan.block):
-            return self._select(block_plan, meter)
-
-    # ------------------------------------------------------------------
-
-    def _acceptable(self, plan: TreePlan) -> bool:
-        return plan.schedulable and plan.total_cost < self.threshold
-
-    def _cost(self, plan: TreePlan) -> int:
-        return plan.selection_cost(self.weight)
-
-    def _select(self, block_plan: BlockPlan,
-                meter: BudgetMeter) -> Selection:
-        candidates = [
-            plan for _, plan in sorted(block_plan.plans.items())
-            if plan.kind == "store" and plan.policy == "default"
-            and self._acceptable(plan)
-        ]
-        _metrics.add("plan.select_candidates", len(candidates))
-        eligible, pressure_rejected = split_by_pressure(
-            candidates, self.weight, self.threshold
-        )
-        first_fit = self._first_fit(block_plan)
-        ff_total = sum(self._cost(plan) for plan in first_fit)
-        chosen = greedy_subset(eligible, self._cost, meter)
-        if chosen is not None and self.mode == "exhaustive":
-            chosen = exhaustive_subsets(
-                eligible, meter, chosen, self._cost,
-                _default_limit_state(meter),
-            )
-        if chosen is None:
-            # Selection budget ran dry before the greedy pass finished:
-            # keep the legacy-shaped subset rather than a partial pick.
-            chosen, total, note = first_fit, ff_total, "first-fit"
-        else:
-            total = sum(self._cost(plan) for plan in chosen)
-            note = self.mode
-            if total >= ff_total:
-                chosen, total, note = first_fit, ff_total, "first-fit"
-        chosen_ids = tuple(sorted(plan.plan_id for plan in chosen))
-        # A plan that still ended up chosen (the first-fit fallback is
-        # pressure-blind by design) must not be blocked at apply time.
-        pressure_rejected = tuple(
-            pid for pid in pressure_rejected if pid not in chosen_ids
-        )
-        return Selection(mode=self.mode, chosen=chosen_ids,
-                         planned_total=total, note=note,
-                         pressure_rejected=pressure_rejected)
-
-    def _first_fit(self, block_plan: BlockPlan) -> list[TreePlan]:
-        return first_fit_subset(block_plan, self._acceptable)
-
-
-# ---------------------------------------------------------------------------
-# Selection primitives (shared by the per-block and module selectors)
+# Selection primitives
 # ---------------------------------------------------------------------------
 
 
@@ -606,33 +483,12 @@ def split_by_pressure(candidates: list[TreePlan], weight: int,
     return eligible, tuple(rejected)
 
 
-def greedy_subset(candidates: list[TreePlan], cost, meter: BudgetMeter
-                  ) -> Optional[list[TreePlan]]:
-    """Best-savings-first greedy over non-conflicting plans.
-
-    Each candidate considered charges one unit of the selection budget;
-    ``None`` (caller falls back to the legacy first-fit shape) when the
-    budget runs dry mid-pass — with no ``max_select_subsets`` cap the
-    behaviour is exactly the historical unmetered greedy."""
-    ordered = sorted(candidates, key=lambda p: (cost(p), p.plan_id))
-    picked: list[TreePlan] = []
-    claimed: frozenset[int] = frozenset()
-    for plan in ordered:
-        meter.charge_select()
-        if not meter.select_allowed():
-            return None
-        if claimed & plan.claimed:
-            continue
-        picked.append(plan)
-        claimed = claimed | plan.claimed
-    return picked
-
-
 def _default_limit_state(meter: BudgetMeter) -> dict:
     """Mutable visit-count state for :func:`exhaustive_subsets`; the
     built-in cap applies only when no explicit budget cap is set.  The
-    module selector passes one shared state across every block so the
-    default cap stays module-wide."""
+    selector passes one state per candidate pool, so the default cap is
+    per block in the per-block modes and module-wide in the module
+    modes."""
     limit = (DEFAULT_SELECT_SUBSETS
              if meter.budget.max_select_subsets is None else None)
     return {"visited": 0, "limit": limit}
@@ -678,7 +534,7 @@ def exhaustive_subsets(candidates: list[TreePlan], meter: BudgetMeter,
 
 
 # ---------------------------------------------------------------------------
-# Module-scope selection (goSLP-style global packing)
+# The candidate pool and the selector
 # ---------------------------------------------------------------------------
 
 
@@ -692,10 +548,10 @@ class FunctionPlan:
 
 @dataclass
 class ModulePlan:
-    """Phase-1 output of the module-scoped flow: the pooled candidate
-    plans of every block of every function in a compile job.  Plan ids
-    come from one module-wide counter, so ``(function, block, plan_id)``
-    is a stable identity."""
+    """Phase-1 output of the driver: the candidate plans of every block
+    of every function in a compile job.  Plan ids come from one
+    driver-wide counter, so ``(function, block, plan_id)`` is a stable
+    identity."""
 
     functions: list[FunctionPlan] = field(default_factory=list)
 
@@ -726,8 +582,8 @@ class ModulePlan:
         }
 
 
-class _ModuleEntry:
-    """Per-block selection state inside the module selector."""
+class _BlockEntry:
+    """Per-block selection state inside the selector."""
 
     __slots__ = ("function", "block_plan", "eligible",
                  "pressure_rejected", "first_fit", "picks", "claimed")
@@ -746,32 +602,42 @@ class _ModuleEntry:
 
 
 class ModuleSelector:
-    """Module-scope selection: phase 2 of the two-phase flow.
+    """Picks a non-conflicting subset of the candidates: phase 2.
 
-    Every block's eligible candidates are pooled and considered in one
-    global best-savings order, so a tight shared selection budget
-    (``Budget.max_select_subsets`` metered through the module meter) is
-    spent on the highest-projected-savings plans anywhere in the module
-    — goSLP's global packing, where the per-block flow would spend the
-    same budget on whichever block happens to come first.
+    The mode decides the candidate pool.  ``greedy-savings`` and
+    ``exhaustive`` pool each block on its own, in program order, so a
+    tight ``Budget.max_select_subsets`` is spent on whichever block
+    comes first.  ``module-greedy`` and ``module-exhaustive`` pool
+    every block of the module and consider the candidates in one global
+    best-savings order, so the same budget is spent on the
+    highest-projected-savings plans anywhere — goSLP's global packing.
+    ``legacy`` chooses nothing and never reaches here.
 
-    ``module-greedy`` stops at the global greedy pass;
-    ``module-exhaustive`` then refines blocks one at a time (best
-    projected savings first) with the subset DFS, all charged to the
-    same shared meter.  Per block, the module pick replaces the
-    legacy-shaped first-fit subset only when strictly better, so with
-    an unlimited budget ``module-greedy`` selects exactly what
-    per-block ``greedy-savings`` would — never worse, by construction.
+    Per pool, a greedy pass takes non-conflicting plans best savings
+    first, charging one budget unit per candidate; the exhaustive modes
+    then refine each block with the subset DFS, seeded with the greedy
+    picks (one default visit cap per pool).  A block whose own greedy
+    pass runs dry keeps its first-fit subset, not a partial pick; in a
+    module pool the blocks the pass already reached keep their picks.
+
+    Per block, the pick replaces the legacy-shaped first-fit subset only
+    when its plan-time total is *strictly* better, so selection can only
+    deviate from first-fit where the savings model says it wins, and
+    with an unlimited budget ``module-greedy`` selects exactly what
+    ``greedy-savings`` would.  Only store plans are selected: reductions
+    are left to the applier because their seeds are collected on
+    post-store IR.
     """
 
     def __init__(self, config):
-        if config.plan_select not in MODULE_SELECT_MODES:
+        if (config.plan_select == "legacy"
+                or config.plan_select not in PLAN_SELECT_MODES):
             raise ValueError(
-                f"not a module plan-select mode "
-                f"{config.plan_select!r}; use one of "
-                f"{', '.join(MODULE_SELECT_MODES)}"
+                f"not a selecting plan-select mode {config.plan_select!r}"
             )
         self.mode = config.plan_select
+        self.module_wide = self.mode in MODULE_SELECT_MODES
+        self.exhaustive = self.mode in ("exhaustive", "module-exhaustive")
         self.threshold = config.cost_threshold
         self.weight = config.reg_pressure_weight
 
@@ -786,102 +652,98 @@ class ModuleSelector:
     def select(self, module_plan: ModulePlan, meter: BudgetMeter
                ) -> dict[tuple[str, str], Selection]:
         """Selection verdicts keyed by ``(function, block)``."""
-        with span("slp.module_select", mode=self.mode):
-            return self._select(module_plan, meter)
+        with span("slp.select", mode=self.mode):
+            entries = [self._entry(function, block_plan)
+                       for function, block_plan in module_plan.all_blocks()]
+            pools = ([entries] if self.module_wide
+                     else [[entry] for entry in entries])
+            budget_dry = False
+            for pool in pools:
+                budget_dry = self._select_pool(pool, meter)
+            selections: dict[tuple[str, str], Selection] = {}
+            for entry in entries:
+                key = (entry.function, entry.block_plan.block)
+                selections[key] = self._verdict(entry)
+            if self.module_wide:
+                _publish_module_select(self.mode, module_plan, entries,
+                                       selections, budget_dry)
+            return selections
 
-    def _select(self, module_plan: ModulePlan, meter: BudgetMeter
-                ) -> dict[tuple[str, str], Selection]:
-        entries: list[_ModuleEntry] = []
-        for function, block_plan in module_plan.all_blocks():
-            candidates = [
-                plan for _, plan in sorted(block_plan.plans.items())
-                if plan.kind == "store" and plan.policy == "default"
-                and self._acceptable(plan)
-            ]
-            eligible, pressure_rejected = split_by_pressure(
-                candidates, self.weight, self.threshold
-            )
-            entries.append(_ModuleEntry(
-                function, block_plan, eligible, pressure_rejected,
-                first_fit_subset(block_plan, self._acceptable),
-            ))
+    # ------------------------------------------------------------------
 
-        # One global pool, best projected savings first; plan ids come
-        # from one module-wide counter, so the tie-break is stable.
-        pool = [(entry, plan) for entry in entries
-                for plan in entry.eligible]
-        pool.sort(key=lambda item: (self._cost(item[1]),
-                                    item[1].plan_id))
-        budget_dry = False
-        for entry, plan in pool:
+    def _entry(self, function: str, block_plan: BlockPlan) -> _BlockEntry:
+        candidates = [
+            plan for _, plan in sorted(block_plan.plans.items())
+            if plan.kind == "store" and self._acceptable(plan)
+        ]
+        _metrics.add("plan.select_candidates", len(candidates))
+        eligible, pressure_rejected = split_by_pressure(
+            candidates, self.weight, self.threshold
+        )
+        return _BlockEntry(function, block_plan, eligible,
+                           pressure_rejected,
+                           first_fit_subset(block_plan, self._acceptable))
+
+    def _select_pool(self, pool: list[_BlockEntry],
+                     meter: BudgetMeter) -> bool:
+        """Greedy pass (then, in the exhaustive modes, refinement) over
+        one pool; True when the selection budget ran dry."""
+        # Best projected savings first; plan ids come from one
+        # driver-wide counter, so the tie-break is stable.
+        ordered = sorted(
+            ((entry, plan) for entry in pool for plan in entry.eligible),
+            key=lambda item: (self._cost(item[1]), item[1].plan_id),
+        )
+        for entry, plan in ordered:
             meter.charge_select()
             if not meter.select_allowed():
-                budget_dry = True
-                break
+                if not self.module_wide:
+                    entry.picks = entry.first_fit
+                return True
             if entry.claimed & plan.claimed:
                 continue
             entry.picks.append(plan)
             entry.claimed = entry.claimed | plan.claimed
+        if self.exhaustive:
+            return self._refine(pool, meter)
+        return False
 
-        if self.mode == "module-exhaustive" and not budget_dry:
-            budget_dry = self._refine(entries, meter)
-
-        selections: dict[tuple[str, str], Selection] = {}
-        selected = 0
-        for entry in entries:
-            selection = self._verdict(entry)
-            selected += len(selection.chosen)
-            key = (entry.function, entry.block_plan.block)
-            selections[key] = selection
-
-        _metrics.add("plan.module.functions", len(module_plan.functions))
-        _metrics.add("plan.module.blocks", len(entries))
-        _metrics.add("plan.module.candidates", len(pool))
-        _metrics.add("plan.module.selected", selected)
-        if budget_dry:
-            _metrics.add("plan.module.budget_stopped")
-        _records.emit(
-            "module_select", mode=self.mode,
-            functions=len(module_plan.functions), blocks=len(entries),
-            candidates=len(pool), selected=selected,
-            budget_exhausted=budget_dry,
-        )
-        return selections
-
-    def _refine(self, entries: list[_ModuleEntry],
-                meter: BudgetMeter) -> bool:
-        """``module-exhaustive``: per-block subset DFS on top of the
-        global greedy picks, most promising block first, all charged to
-        the one shared meter (and one shared default visit cap)."""
+    def _refine(self, pool: list[_BlockEntry], meter: BudgetMeter) -> bool:
+        """Subset DFS per block on top of the greedy picks, most
+        promising block first, all charged to the same meter."""
         limit_state = _default_limit_state(meter)
         order = sorted(
-            range(len(entries)),
-            key=lambda i: (sum(self._cost(p) for p in entries[i].picks),
-                           i),
+            range(len(pool)),
+            key=lambda i: (sum(self._cost(p) for p in pool[i].picks), i),
         )
         for index in order:
-            entry = entries[index]
-            if not entry.eligible:
-                continue
-            if not meter.select_allowed():
-                return True
+            entry = pool[index]
+            # A module pool skips blocks with nothing to choose and stops
+            # once the budget is dry; a one-block pool always runs its
+            # search, which charges at least the empty-subset visit.
+            if self.module_wide:
+                if not entry.eligible:
+                    continue
+                if not meter.select_allowed():
+                    return True
             entry.picks = exhaustive_subsets(
                 entry.eligible, meter, entry.picks, self._cost,
                 limit_state,
             )
         return False
 
-    def _verdict(self, entry: _ModuleEntry) -> Selection:
-        """Per-block verdict: the module pick must be *strictly* better
-        than the legacy-shaped first-fit subset, mirroring the
-        per-block selector's rule (a budget-starved block therefore
-        degrades to exactly the legacy shape)."""
+    def _verdict(self, entry: _BlockEntry) -> Selection:
+        """Per-block verdict: the pick must be *strictly* better than
+        the legacy-shaped first-fit subset (a budget-starved block
+        therefore degrades to exactly the legacy shape)."""
         total = sum(self._cost(plan) for plan in entry.picks)
         ff_total = sum(self._cost(plan) for plan in entry.first_fit)
         chosen, note = entry.picks, self.mode
         if total >= ff_total:
             chosen, total, note = entry.first_fit, ff_total, "first-fit"
         chosen_ids = tuple(sorted(plan.plan_id for plan in chosen))
+        # A plan that still ended up chosen (the first-fit fallback is
+        # pressure-blind by design) must not be blocked at apply time.
         pressure_rejected = tuple(
             pid for pid in entry.pressure_rejected
             if pid not in chosen_ids
@@ -891,14 +753,38 @@ class ModuleSelector:
                          pressure_rejected=pressure_rejected)
 
 
+def _publish_module_select(mode: str, module_plan: ModulePlan,
+                           entries: list[_BlockEntry],
+                           selections: dict[tuple[str, str], Selection],
+                           budget_dry: bool) -> None:
+    """The module modes' one-per-job summary: ``plan.module.*`` metrics
+    and the ``module_select`` record."""
+    candidates = sum(len(entry.eligible) for entry in entries)
+    selected = sum(len(s.chosen) for s in selections.values())
+    _metrics.add("plan.module.functions", len(module_plan.functions))
+    _metrics.add("plan.module.blocks", len(entries))
+    _metrics.add("plan.module.candidates", candidates)
+    _metrics.add("plan.module.selected", selected)
+    if budget_dry:
+        _metrics.add("plan.module.budget_stopped")
+    _records.emit(
+        "module_select", mode=mode,
+        functions=len(module_plan.functions), blocks=len(entries),
+        candidates=candidates, selected=selected,
+        budget_exhausted=budget_dry,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Applier
 # ---------------------------------------------------------------------------
 
 
 class Applier:
-    """Materializes plans; in ``legacy`` mode this *is* the historical
-    greedy pipeline, instruction for instruction.
+    """Materializes a block's selection, then sweeps first-fit over
+    whatever it left on the table; with nothing chosen (``legacy``) the
+    sweep *is* the historical greedy pipeline, instruction for
+    instruction.
 
     Every tree is rebuilt on the current IR at apply time — plan-time
     graphs are never emitted, because an earlier application can
@@ -916,43 +802,42 @@ class Applier:
         self.applied_reductions: list[tuple[int, int]] = []
 
     def apply(self, block: BasicBlock, block_plan: BlockPlan,
-              selection: Optional[Selection], seeds: list[SeedGroup],
+              selection: Selection, seeds: list[SeedGroup],
               ctx: LookAheadContext, aa: AliasAnalysis, report,
               meter: BudgetMeter) -> None:
-        self._block = block
         self._ctx = ctx
         self._aa = aa
         self._report = report
         self._meter = meter
         # Store sets whose plans selection rejected on register
         # pressure: the (pressure-blind) sweep must not resurrect them.
-        self._blocked: frozenset[frozenset[int]] = frozenset()
-        if selection is not None and selection.pressure_rejected:
-            self._blocked = frozenset(
-                frozenset(id(store)
-                          for store in block_plan.plans[pid].seed.stores)
-                for pid in selection.pressure_rejected
-                if block_plan.plans[pid].kind == "store"
-            )
-        if selection is None:
-            self._apply_legacy(block, seeds)
-        else:
-            self._apply_selected(block, block_plan, selection, seeds)
-
-    # ---- legacy first-fit (byte-for-byte historical behaviour) -------
-
-    def _apply_legacy(self, block: BasicBlock,
-                      seeds: list[SeedGroup]) -> None:
-        for index, seed in enumerate(seeds):
-            if not seed.alive():
+        self._blocked: frozenset[frozenset[int]] = frozenset(
+            frozenset(id(store)
+                      for store in block_plan.plans[pid].seed.stores)
+            for pid in selection.pressure_rejected
+            if block_plan.plans[pid].kind == "store"
+        )
+        for plan_id in selection.chosen:
+            plan = block_plan.plans[plan_id]
+            if self._meter.time_exceeded():
+                self._abort_remark(block, seeds)
+                return
+            if not plan.seed.alive():
                 continue
+            record = self._try_store_tree(plan.seed)
+            if record.vectorized:
+                self._report.trees.append(record)
+            # On apply-time divergence the record is dropped: the sweep
+            # below re-attempts the family first-fit and produces the
+            # canonical records for whatever it decides.
+        for index, seed in enumerate(seeds):
             if self._meter.time_exceeded():
                 self._abort_remark(block, seeds[index:])
                 return
             _metrics.add("slp.seeds")
             _records.emit("seed", kind="store", block=block.name,
                           vector_length=seed.vector_length)
-            self._vectorize_seed(seed)
+            self._sweep(seed)
         self._apply_reductions(block)
 
     def _apply_reductions(self, block: BasicBlock) -> None:
@@ -1058,37 +943,6 @@ class Applier:
         _emit_group(record)
         return record
 
-    # ---- selected-plan application -----------------------------------
-
-    def _apply_selected(self, block: BasicBlock, block_plan: BlockPlan,
-                        selection: Selection,
-                        seeds: list[SeedGroup]) -> None:
-        for seed in seeds:
-            if not seed.alive():
-                continue
-            _metrics.add("slp.seeds")
-            _records.emit("seed", kind="store", block=block.name,
-                          vector_length=seed.vector_length)
-        for plan_id in selection.chosen:
-            plan = block_plan.plans[plan_id]
-            if self._meter.time_exceeded():
-                self._abort_remark(block, seeds)
-                return
-            if not plan.seed.alive():
-                continue
-            record = self._try_store_tree(plan.seed)
-            if record.vectorized:
-                self._report.trees.append(record)
-            # On apply-time divergence the record is dropped: the sweep
-            # below re-attempts the family first-fit and produces the
-            # canonical records for whatever it decides.
-        for index, seed in enumerate(seeds):
-            if self._meter.time_exceeded():
-                self._abort_remark(block, seeds[index:])
-                return
-            self._sweep(seed)
-        self._apply_reductions(block)
-
     def _sweep(self, seed: SeedGroup) -> None:
         """First-fit over everything selection left on the table: a
         still-alive family gets the legacy width descent; a partially
@@ -1149,18 +1003,15 @@ class Applier:
 # ---------------------------------------------------------------------------
 
 
-def record_outcomes(block_plan: BlockPlan, applier: Applier, mode: str,
-                    cost_threshold: int,
-                    selection: Optional[Selection] = None) -> None:
+def record_outcomes(block_plan: BlockPlan, applier: Applier,
+                    cost_threshold: int, selection: Selection) -> None:
     """Classify every enumerated plan against what the applier actually
     did, stream ``select``/``reject`` records, bump ``plan.*`` metrics,
     and feed the plan sink (``--plan-dump``)."""
     sink_active = _records.active_sink() is not None
     plan_sink = _records.active_plan_sink() is not None
-    pressure_rejected = (
-        frozenset(selection.pressure_rejected)
-        if selection is not None else frozenset()
-    )
+    mode = selection.mode
+    pressure_rejected = frozenset(selection.pressure_rejected)
     applied = 0
     for plan_id, plan in block_plan.plans.items():
         outcome, reason = _classify(plan, applier, cost_threshold)
@@ -1194,8 +1045,6 @@ def record_outcomes(block_plan: BlockPlan, applier: Applier, mode: str,
 
 def _classify(plan: TreePlan, applier: Applier,
               cost_threshold: int) -> tuple[str, str]:
-    if plan.policy != "default":
-        return "rejected", "policy-variant"
     if plan.kind == "reduction":
         key = (id(plan.seed.root), plan.vector_length)
         if key in applier.applied_reductions:
@@ -1269,10 +1118,8 @@ __all__ = [
     "ModuleSelector",
     "PLAN_SELECT_MODES",
     "Planner",
-    "POLICY_VARIANTS",
     "record_outcomes",
     "Selection",
-    "Selector",
     "TreePlan",
     "TreeRecord",
 ]

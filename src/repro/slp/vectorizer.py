@@ -11,21 +11,23 @@ paper's four appear as factory methods:
   look-ahead reordering), with the depth and multi-node size knobs the
   Figure 13 sensitivity study sweeps.
 
-:class:`SLPVectorizer` drives each block through the three phases of
-:mod:`repro.slp.plan`:
+:class:`ModuleVectorizationDriver` is the one SLP driver.  It runs the
+three phases of :mod:`repro.slp.plan` over a module (and
+:meth:`SLPVectorizer.run_function` over a one-function module):
 
 1. **plan** — enumerate immutable :class:`~repro.slp.plan.TreePlan`
-   candidates (full width, both halves eagerly, reductions, optional
-   policy variants) without touching the IR, on an isolated analysis
-   context and a phase-scoped budget meter;
-2. **select** — resolve conflicts between overlapping candidates.  The
-   default ``plan_select="legacy"`` skips selection entirely and lets
-   the applier's greedy first-fit decide, reproducing the historical
-   pipeline byte-for-byte; ``"greedy-savings"``/``"exhaustive"`` pick
-   the best non-conflicting subset by plan-time total cost;
-3. **apply** — materialize trees through ``VectorCodeGen`` in
-   deterministic order, rebuilding and re-checking each on the current
-   IR.
+   candidates (full width, both halves eagerly, reductions) without
+   touching the IR, on an isolated analysis context and a phase-scoped
+   budget meter.  The default ``plan_select="legacy"`` chooses nothing,
+   so it skips planning and only collects each block's seeds;
+2. **select** — resolve conflicts between overlapping candidates:
+   ``"greedy-savings"``/``"exhaustive"`` pick the best non-conflicting
+   subset of each block by plan-time total cost, the ``"module-*"``
+   modes pool every block of the module under one selection budget;
+3. **apply** — materialize the chosen trees through ``VectorCodeGen``
+   in deterministic order, rebuilding and re-checking each on the
+   current IR, then sweep first-fit over the rest.  With nothing
+   chosen this reproduces the historical greedy pipeline byte-for-byte.
 
 Afterwards every candidate's fate (applied, or rejected with a reason)
 is reconciled into ``select``/``reject`` records and the plan sink.
@@ -42,7 +44,7 @@ from ..analysis.scev import ScalarEvolution
 from ..costmodel.targets import skylake_like
 from ..costmodel.tti import TargetCostModel
 from ..ir.basicblock import BasicBlock
-from ..ir.function import Function, Module
+from ..ir.function import Function
 from ..obs import metrics as _metrics
 from ..obs import records as _records
 from ..obs.tracing import span
@@ -54,12 +56,12 @@ from .plan import (
     MODULE_SELECT_MODES,
     PLAN_SELECT_MODES,
     Applier,
+    BlockPlan,
     FunctionPlan,
     ModulePlan,
     ModuleSelector,
     Planner,
     Selection,
-    Selector,
     TreeRecord,
     record_outcomes,
 )
@@ -95,16 +97,12 @@ class VectorizerConfig:
     #: clock); ``None`` = unlimited, the historical behaviour
     budget: Optional[Budget] = None
     #: plan-selection mode: "legacy" (default) reproduces the greedy
-    #: first-fit byte-for-byte; "greedy-savings"/"exhaustive" pick the
-    #: best non-conflicting candidate subset by plan-time cost per
-    #: block; "module-greedy"/"module-exhaustive" pool every block of
-    #: every function and spend one shared selection budget where the
-    #: projected savings are largest
+    #: first-fit byte-for-byte without planning; "greedy-savings"/
+    #: "exhaustive" pick the best non-conflicting candidate subset by
+    #: plan-time cost per block; "module-greedy"/"module-exhaustive"
+    #: pool every block of every function and spend one shared
+    #: selection budget where the projected savings are largest
     plan_select: str = "legacy"
-    #: extra build policies ("slp-nr", "slp", "lslp") the planner
-    #: enumerates per seed for comparison; informational only, never
-    #: applied
-    plan_policy_variants: tuple[str, ...] = ()
     #: selection-time penalty per vector register a plan needs beyond
     #: the target's register file (repro.slp.pressure); 0 disables the
     #: pressure term entirely
@@ -224,7 +222,7 @@ class VectorizationReport:
 
 
 class SLPVectorizer:
-    """Runs one configuration over functions/modules, rewriting the IR."""
+    """Runs one configuration over functions, rewriting the IR."""
 
     def __init__(self, config: Optional[VectorizerConfig] = None,
                  target: Optional[TargetCostModel] = None):
@@ -236,111 +234,18 @@ class SLPVectorizer:
                 f"use one of {', '.join(PLAN_SELECT_MODES)}"
             )
 
-    # ------------------------------------------------------------------
-
-    def run_module(self, module: Module,
-                   module_meter: Optional[ModuleMeter] = None
-                   ) -> VectorizationReport:
-        if (module_meter is None and self.config.budget is not None
-                and self.config.budget.has_module_caps):
-            module_meter = ModuleMeter(self.config.budget)
-        if (self.config.enabled
-                and self.config.plan_select in MODULE_SELECT_MODES):
-            driver = ModuleVectorizationDriver(self.config, self.target,
-                                               module_meter)
-            funcs = list(module.functions.values())
-            for func in funcs:
-                driver.plan_function(func)
-            driver.select()
-            report = VectorizationReport("<module>", self.config.name)
-            for func in funcs:
-                report.merge(driver.apply_function(func))
-            return report
-        report = VectorizationReport("<module>", self.config.name)
-        for func in module.functions.values():
-            report.merge(self.run_function(func, module_meter))
-        return report
-
     def run_function(self, func: Function,
                      module_meter: Optional[ModuleMeter] = None
                      ) -> VectorizationReport:
-        report = VectorizationReport(func.name, self.config.name)
+        """Vectorize one function: the driver over a one-function
+        module."""
         if not self.config.enabled:
-            return report
-        if self.config.plan_select in MODULE_SELECT_MODES:
-            # A lone function is its own module: candidates from all of
-            # its blocks are pooled and selected in one pass.
-            driver = ModuleVectorizationDriver(self.config, self.target,
-                                               module_meter)
-            driver.plan_function(func)
-            driver.select()
-            return driver.apply_function(func)
-        meter = BudgetMeter(self.config.budget, module=module_meter)
-        meter.start_function()
-        #: function-scope plan ids, so records stay unambiguous across
-        #: blocks
-        plan_ids = itertools.count()
-        # Ambient record context: deep layers (builder, reorderer,
-        # budget meters) emit decision records without threading names.
-        context = _records.push_context(
-            function=func.name, config=self.config.name,
-            **{"pass": "slp"},
-        )
-        try:
-            with span("slp.function", function=func.name,
-                      config=self.config.name):
-                for block in func.blocks:
-                    self._run_block(block, report, meter, plan_ids)
-        finally:
-            _records.restore_context(context)
-        for event in meter.events:
-            report.remarks.append(_budget_remark(func.name, event))
-        self._publish_metrics(report, meter)
-        return report
-
-    # ------------------------------------------------------------------
-
-    def _run_block(self, block: BasicBlock, report: VectorizationReport,
-                   meter: Optional[BudgetMeter] = None,
-                   plan_ids: Optional[itertools.count] = None) -> None:
-        meter = meter if meter is not None else BudgetMeter()
-
-        # Apply-phase analyses are rebuilt per block: code generation
-        # invalidates cached positions but not SCEV facts; a fresh
-        # context is cheap and always sound.  Seeds are collected with
-        # the *apply* context so its caches populate exactly as the
-        # historical pipeline's did.
-        ctx = LookAheadContext(ScalarEvolution())
-        aa = AliasAnalysis(ctx.scev)
-        seeds = collect_store_seeds(block, ctx.scev, self.target)
-
-        # Phase 1 — plan.  Isolated analysis context (shared SCEV caches
-        # would leak pre-mutation facts into apply-time builds) and a
-        # phase-scoped meter (planning must not perturb apply-phase
-        # budget accounting).
-        plan_ctx = LookAheadContext(ScalarEvolution())
-        plan_aa = AliasAnalysis(plan_ctx.scev)
-        planner = Planner(self.config, self.target, ids=plan_ids)
-        block_plan = planner.plan_block(block, seeds, plan_ctx, plan_aa,
-                                        meter.phase_meter())
-
-        # Phase 2 — select.  Legacy mode defers to the applier's greedy
-        # first-fit; selection charges the function meter.
-        selection: Optional[Selection] = None
-        if self.config.plan_select != "legacy":
-            selection = Selector(self.config).select(block_plan, meter)
-
-        # Phase 3 — apply, then reconcile what actually happened with
-        # what was planned.
-        applier = Applier(self.config, self.target)
-        applier.apply(block, block_plan, selection, seeds, ctx, aa,
-                      report, meter)
-        record_outcomes(block_plan, applier, self.config.plan_select,
-                        self.config.cost_threshold, selection)
-
-    def _publish_metrics(self, report: VectorizationReport,
-                         meter: BudgetMeter) -> None:
-        _publish_report_metrics(report)
+            return VectorizationReport(func.name, self.config.name)
+        driver = ModuleVectorizationDriver(self.config, self.target,
+                                           module_meter)
+        driver.plan_function(func)
+        driver.select()
+        return driver.apply_function(func)
 
 
 def _publish_report_metrics(report: VectorizationReport) -> None:
@@ -368,7 +273,7 @@ def _budget_remark(function: str, event) -> Remark:
 
 
 # ---------------------------------------------------------------------------
-# Module-scoped two-phase driver
+# The plan/select/apply driver
 # ---------------------------------------------------------------------------
 
 
@@ -378,7 +283,7 @@ class _PlannedBlock:
 
     block: BasicBlock
     seeds: list
-    block_plan: object
+    block_plan: BlockPlan
     ctx: LookAheadContext
     aa: AliasAnalysis
 
@@ -392,14 +297,15 @@ class _PlannedFunction:
 
 
 class ModuleVectorizationDriver:
-    """The two-phase, module-scoped plan/select/apply flow.
+    """The plan/select/apply flow over a module, for every
+    ``plan_select`` mode.
 
-    Phase 1 (:meth:`plan_function`, once per function) enumerates
-    candidates for every block read-only, pooling them into one
-    :class:`~repro.slp.plan.ModulePlan` with module-wide plan ids.
-    Phase 2 (:meth:`select`) runs the module-scope selector over the
-    pooled candidates, spending the one shared selection budget where
-    projected savings are largest.  :meth:`apply_function` then
+    Phase 1 (:meth:`plan_function`, once per function) collects every
+    block's seeds and, in the selecting modes, enumerates its candidates
+    read-only into one :class:`~repro.slp.plan.ModulePlan` with
+    driver-wide plan ids.  Phase 2 (:meth:`select`) runs the selector
+    over the pooled candidates — per block or module-wide, as the mode
+    says; ``legacy`` chooses nothing.  :meth:`apply_function` then
     materializes one function's share of the verdicts — callable per
     function so a guarded pipeline (``repro.opt.pipelines``) can wrap
     each function's apply in its own pass guard.
@@ -413,17 +319,12 @@ class ModuleVectorizationDriver:
     def __init__(self, config: VectorizerConfig,
                  target: Optional[TargetCostModel] = None,
                  module_meter: Optional[ModuleMeter] = None):
-        if config.plan_select not in MODULE_SELECT_MODES:
-            raise ValueError(
-                f"not a module plan-select mode {config.plan_select!r};"
-                f" use one of {', '.join(MODULE_SELECT_MODES)}"
-            )
         self.config = config
         self.target = target if target is not None else skylake_like()
-        if (module_meter is None and config.budget is not None
-                and config.budget.has_module_caps):
-            module_meter = ModuleMeter(config.budget)
-        self.module_meter = module_meter
+        self.module_meter = (module_meter if module_meter is not None
+                             else ModuleMeter.for_budget(config.budget))
+        #: legacy chooses nothing, so it needs no candidates
+        self.selecting = config.plan_select != "legacy"
         self.module_plan = ModulePlan()
         self._plan_ids = itertools.count()
         self._planned: dict[str, _PlannedFunction] = {}
@@ -433,8 +334,9 @@ class ModuleVectorizationDriver:
     # ------------------------------------------------------------------
 
     def plan_function(self, func: Function) -> None:
-        """Phase 1 for one function: enumerate every block's candidates
-        without touching the IR."""
+        """Phase 1 for one function: collect every block's seeds and,
+        when selecting, enumerate its candidates without touching the
+        IR."""
         report = VectorizationReport(func.name, self.config.name)
         meter = BudgetMeter(self.config.budget, module=self.module_meter)
         meter.start_function()
@@ -445,25 +347,33 @@ class ModuleVectorizationDriver:
             **{"pass": "slp"},
         )
         try:
-            with span("slp.module_plan", function=func.name,
+            with span("slp.plan_function", function=func.name,
                       config=self.config.name):
                 for block in func.blocks:
                     # Apply-phase analyses, captured now, used in phase
-                    # 3; the planner gets its own isolated context, as
-                    # in the per-block flow.
+                    # 3; seeds are collected with the apply context so
+                    # its caches populate exactly as the historical
+                    # pipeline's did.
                     ctx = LookAheadContext(ScalarEvolution())
                     aa = AliasAnalysis(ctx.scev)
                     seeds = collect_store_seeds(block, ctx.scev,
                                                 self.target)
-                    plan_ctx = LookAheadContext(ScalarEvolution())
-                    plan_aa = AliasAnalysis(plan_ctx.scev)
-                    planner = Planner(self.config, self.target,
-                                      ids=self._plan_ids,
-                                      function=func.name)
-                    block_plan = planner.plan_block(
-                        block, seeds, plan_ctx, plan_aa,
-                        meter.phase_meter(),
-                    )
+                    block_plan = BlockPlan(block.name, func.name)
+                    if self.selecting:
+                        # The planner gets its own isolated context
+                        # (shared SCEV caches would leak pre-mutation
+                        # facts into apply-time builds) and a
+                        # phase-scoped meter (planning must not perturb
+                        # apply-phase budget accounting).
+                        plan_ctx = LookAheadContext(ScalarEvolution())
+                        planner = Planner(self.config, self.target,
+                                          ids=self._plan_ids,
+                                          function=func.name)
+                        block_plan = planner.plan_block(
+                            block, seeds, plan_ctx,
+                            AliasAnalysis(plan_ctx.scev),
+                            meter.phase_meter(),
+                        )
                     planned.blocks.append(
                         _PlannedBlock(block, seeds, block_plan, ctx, aa)
                     )
@@ -474,9 +384,12 @@ class ModuleVectorizationDriver:
         self.module_plan.functions.append(fplan)
 
     def select(self) -> None:
-        """Phase 2: one module-scope selection over the pooled
-        candidates (idempotent)."""
+        """Phase 2: one selection over the pooled candidates
+        (idempotent)."""
         if self._selections is not None:
+            return
+        if not self.selecting:
+            self._selections = {}
             return
         select_meter = BudgetMeter(self.config.budget,
                                    module=self.module_meter)
@@ -487,10 +400,12 @@ class ModuleVectorizationDriver:
 
     def apply_function(self, func: Function) -> VectorizationReport:
         """Phase 3 for one function: materialize its share of the
-        module selection in deterministic plan order."""
+        selection in deterministic plan order."""
         self.select()
         planned = self._planned[func.name]
         report, meter = planned.report, planned.meter
+        nothing_chosen = Selection(mode=self.config.plan_select, chosen=(),
+                                   planned_total=0, note="first-fit")
         context = _records.push_context(
             function=func.name, config=self.config.name,
             **{"pass": "slp"},
@@ -500,28 +415,21 @@ class ModuleVectorizationDriver:
                       config=self.config.name):
                 for pb in planned.blocks:
                     selection = self._selections.get(
-                        (func.name, pb.block.name)
+                        (func.name, pb.block.name), nothing_chosen
                     )
-                    if selection is None:
-                        selection = Selection(
-                            mode=self.config.plan_select, chosen=(),
-                            planned_total=0, note="first-fit",
-                        )
                     applier = Applier(self.config, self.target)
                     applier.apply(pb.block, pb.block_plan, selection,
                                   pb.seeds, pb.ctx, pb.aa, report,
                                   meter)
-                    record_outcomes(pb.block_plan, applier,
-                                    self.config.plan_select,
-                                    self.config.cost_threshold,
-                                    selection)
+                    if self.selecting:
+                        record_outcomes(pb.block_plan, applier,
+                                        self.config.cost_threshold,
+                                        selection)
         finally:
             _records.restore_context(context)
-        for event in meter.events:
-            report.remarks.append(_budget_remark(func.name, event))
-        # Module-scope selection events surface once, on the first
-        # function whose apply phase runs.
-        for event in self._select_events:
+        # Selection events surface once, ahead of the apply events of
+        # the first function whose apply phase runs.
+        for event in self._select_events + meter.events:
             report.remarks.append(_budget_remark(func.name, event))
         self._select_events = []
         _publish_report_metrics(report)

@@ -25,15 +25,15 @@ from repro.analysis.aliasing import AliasAnalysis
 from repro.analysis.scev import ScalarEvolution
 from repro.costmodel.targets import skylake_like
 from repro.ir import print_function
-from repro.obs import records
+from repro.obs import metrics, records
 from repro.obs.records import ListSink
 from repro.opt import compile_function
 from repro.opt.dce import run_dce
 from repro.opt.pipelines import scalar_pipeline
-from repro.robustness.budget import Budget
-from repro.kernels import ALL_KERNELS, OVERLAP_KERNELS
+from repro.robustness.budget import Budget, ModuleMeter
+from repro.kernels import ALL_KERNELS, MODULE_CROSS_BLOCK, OVERLAP_KERNELS
 from repro.service.serde import tree_from_dict, tree_to_dict
-from repro.slp import VectorizerConfig
+from repro.slp import VectorizerConfig, plan
 from repro.slp.builder import BuildStats, GraphBuilder
 from repro.slp.codegen import VectorCodeGen
 from repro.slp.cost import compute_graph_cost
@@ -282,32 +282,82 @@ def test_plan_records_and_sink_cover_every_candidate():
         assert "total_cost" in entry and "description" in entry
 
 
-def test_policy_variant_plans_are_enumerated_and_rejected():
+def _catalog_plan_traffic(mode):
+    """Compile the catalog under ``mode`` with metrics publishing and a
+    record sink on; return the metric snapshot and the record types."""
     sink = ListSink()
+    previous = metrics.swap_registry(metrics.MetricsRegistry())
     records.set_sink(sink)
+    metrics.set_publishing(True)
     try:
-        config = replace(VectorizerConfig.lslp(),
-                         plan_policy_variants=("slp",))
-        _, func = build_kernel(OVERLAP_KERNELS[0].source)
-        compile_function(func, config)
+        config = replace(VectorizerConfig.lslp(), plan_select=mode)
+        for kernel in ALL_KERNELS.values():
+            _, func = build_kernel(kernel.source)
+            compile_function(func, config)
+        snapshot = metrics.registry().snapshot()
     finally:
+        metrics.set_publishing(False)
         records.set_sink(None)
-    variants = [
-        r for r in sink.records
-        if r["type"] == "plan" and r.get("policy") == "slp"
-    ]
-    assert variants, "expected plan records for the slp policy variant"
-    rejected = {
-        r["plan_id"]: r.get("reason")
-        for r in sink.records if r["type"] == "reject"
-    }
-    for record in variants:
-        assert rejected.get(record["plan_id"]) == "policy-variant"
+        metrics.swap_registry(previous)
+    return snapshot, {r["type"] for r in sink.records}
+
+
+def test_legacy_builds_no_plans():
+    snapshot, types = _catalog_plan_traffic("legacy")
+    assert snapshot.get("plan.candidates", 0) == 0
+    assert not {"plan", "select", "reject"} & types
+    assert snapshot["slp.groups_vectorized"] > 0
+    assert {"seed", "group"} <= types
+    # the selecting modes still plan, and every plan gets a verdict
+    snapshot, types = _catalog_plan_traffic("greedy-savings")
+    assert snapshot["plan.candidates"] > 0
+    assert {"plan", "select", "reject"} <= types
 
 
 # ---------------------------------------------------------------------------
 # Budgets: degradation is explicit
 # ---------------------------------------------------------------------------
+
+#: (mode, max_select_subsets) -> (static cost, selection-budget units
+#: charged) on the multi-block ``module-cross-block`` kernel, as the
+#: per-block selection driver produced them: a block whose greedy pass
+#: runs dry keeps its first-fit subset (-22 instead of -24), and every
+#: later block is charged once to find the budget dry
+PER_BLOCK_BUDGET_OUTCOMES = {
+    ("greedy-savings", 4): (-22, 4),
+    ("greedy-savings", 5): (-22, 5),
+    ("greedy-savings", 6): (-24, 5),
+    ("exhaustive", 5): (-22, 8),
+    ("exhaustive", 10): (-22, 11),
+    ("exhaustive", 14): (-24, 15),
+}
+
+
+@pytest.mark.parametrize("mode,cap", sorted(PER_BLOCK_BUDGET_OUTCOMES))
+def test_per_block_select_budget_keeps_first_fit(mode, cap):
+    config = replace(VectorizerConfig.lslp(), plan_select=mode,
+                     budget=Budget(max_select_subsets=cap))
+    _, func = MODULE_CROSS_BLOCK.build()
+    meter = ModuleMeter(config.budget)
+    result = compile_function(func, config, module_meter=meter)
+    outcome = (result.static_cost, meter.select_subsets)
+    assert outcome == PER_BLOCK_BUDGET_OUTCOMES[(mode, cap)]
+
+
+def test_exhaustive_visit_cap_is_per_block(monkeypatch):
+    """With no explicit cap, ``exhaustive`` gives every block its own
+    ``DEFAULT_SELECT_SUBSETS`` search visits; ``module-exhaustive``
+    shares one cap across the module, so it charges fewer."""
+    monkeypatch.setattr(plan, "DEFAULT_SELECT_SUBSETS", 1)
+    charged = {}
+    for mode in ("exhaustive", "module-exhaustive"):
+        config = replace(VectorizerConfig.lslp(), plan_select=mode)
+        _, func = MODULE_CROSS_BLOCK.build()
+        meter = ModuleMeter(Budget())
+        result = compile_function(func, config, module_meter=meter)
+        assert result.static_cost == -24
+        charged[mode] = meter.select_subsets
+    assert charged == {"exhaustive": 11, "module-exhaustive": 8}
 
 
 def test_budget_abort_leaves_explicit_remark():
