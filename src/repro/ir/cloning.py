@@ -1,7 +1,7 @@
 """Instruction and function cloning with value remapping.
 
 :func:`clone_instruction` serves the loop unroller; :func:`clone_function`
-produces the deep per-pass snapshots the guarded compilation driver
+produces the deep snapshots the guarded compilation driver
 (:mod:`repro.robustness.guard`) rolls back to when a pass crashes or
 corrupts the IR, and the scalar reference the differential oracle
 interprets.

@@ -49,8 +49,8 @@ class PassManager:
     failures name the offending pass — the standard way to localize a
     mis-compiling transformation.
 
-    With a ``guard`` (a :class:`repro.robustness.PassGuard`) each pass
-    runs under snapshot isolation: a pass that raises, or leaves IR the
+    With a ``guard`` (a :class:`repro.robustness.PassGuard`) the passes
+    run under snapshot isolation: a pass that raises, or leaves IR the
     verifier rejects, is rolled back and recorded as a diagnostic
     instead of aborting the compile.  Without a guard the behaviour is
     exactly the historical fail-fast one.
@@ -60,6 +60,9 @@ class PassManager:
         self._passes: list[tuple[str, FunctionPass]] = []
         self.verify_each = verify_each
         self.guard = guard
+        #: remark lists the passes append to, in pass order; a guard
+        #: replay truncates them back to where the failed attempt began
+        self.remark_logs: list[list] = []
 
     def add(self, name: str, pass_fn: FunctionPass) -> "PassManager":
         self._passes.append((name, pass_fn))
@@ -81,13 +84,14 @@ class PassManager:
                      result: Optional[PipelineResult] = None
                      ) -> PipelineResult:
         result = result if result is not None else PipelineResult()
+        if self.guard is not None:
+            self.guard.run_pass(self._passes, func, result,
+                                self.remark_logs)
+            return result
         for name, pass_fn in self._passes:
             # One span per pass ("opt.<name>"); a no-op flag check when
             # tracing is disabled.
             with span(f"opt.{name}", function=func.name):
-                if self.guard is not None:
-                    self.guard.run_pass(name, pass_fn, func, result)
-                    continue
                 start = time.perf_counter()
                 changed = pass_fn(func)
                 elapsed = time.perf_counter() - start

@@ -8,7 +8,7 @@ leaves dead.
 
 ``compile_function`` is also the guarded driver's entry point: pass
 ``guard="guarded"`` (or a :class:`~repro.robustness.GuardPolicy`) for
-per-pass snapshot/rollback, ``oracle=`` a
+snapshot/rollback, ``oracle=`` a
 :class:`~repro.robustness.DifferentialOracle` for scalar-vs-vectorized
 execution checking, and ``faults=`` a
 :class:`~repro.robustness.FaultInjector` to instrument the pipeline for
@@ -115,8 +115,8 @@ def scalar_pipeline(verify_each: bool = False, guard=None,
     the full-unroll cap; ``loop_vectorize`` additionally partially
     unrolls the loops full unrolling refuses (symbolic bounds, trips
     beyond the cap) so the SLP pass can pack across iterations, with the
-    original loop kept as a scalar epilogue.  Unroll decline remarks are
-    collected on ``manager.unroll_remarks``.
+    original loop kept as a scalar epilogue.  Unroll and if-convert
+    decline remarks are collected on ``manager.remark_logs``.
 
     ``ifconvert`` ("on"/"cost") sequences :func:`repro.opt.ifconvert.
     run_ifconvert` after the CFG is cleaned up and before the post-unroll
@@ -143,13 +143,11 @@ def scalar_pipeline(verify_each: bool = False, guard=None,
         .add("unroll", run_unroll_pass)
         .add("simplifycfg", run_simplifycfg)
     )
-    #: decline remarks, drained into ``CompileResult.remarks``
-    manager.unroll_remarks = unroll_remarks
+    manager.remark_logs.append(unroll_remarks)
     if ifconvert != "off":
         ifc_target = target if target is not None else skylake_like()
         collected: list[Remark] = []
-        #: decline remarks, drained into ``CompileResult.remarks``
-        manager.ifconvert_remarks = collected
+        manager.remark_logs.append(collected)
 
         def run_ifconvert_pass(func: Function,
                                _mode=ifconvert, _target=ifc_target) -> bool:
@@ -249,8 +247,7 @@ def compile_function(func: Function, config: VectorizerConfig,
 def _scalar_remarks(manager: PassManager) -> list[Remark]:
     """The decline remarks the scalar pipeline's unroll and if-convert
     passes collected."""
-    return (list(getattr(manager, "unroll_remarks", []))
-            + list(getattr(manager, "ifconvert_remarks", [])))
+    return [remark for log in manager.remark_logs for remark in log]
 
 
 def _finish(func: Function, config: VectorizerConfig,
@@ -343,7 +340,7 @@ def compile_module_planned(module: Module, config: VectorizerConfig,
 
     # Phase 1: scalar passes, then read-only planning, per function.
     staged: list[tuple[Function, PipelineResult,
-                       Optional[PassGuard], list[Remark]]] = []
+                       Optional[PassGuard], PassManager]] = []
     for func in module.functions.values():
         policy = _resolve_guard(
             guard, oracles(func) if oracles is not None else None
@@ -359,7 +356,7 @@ def compile_module_planned(module: Module, config: VectorizerConfig,
                   config=config.name):
             timing = manager.run_function(func)
         driver.plan_function(func)
-        staged.append((func, timing, pass_guard, _scalar_remarks(manager)))
+        staged.append((func, timing, pass_guard, manager))
 
     # Phase 2: one module-wide selection over the pooled candidates.
     driver.select()
@@ -369,7 +366,7 @@ def compile_module_planned(module: Module, config: VectorizerConfig,
     # (and its oracle reference capture) cover it exactly like
     # compile_function's vectorizer pass.
     results: list[CompileResult] = []
-    for func, timing, pass_guard, scalar_remarks in staged:
+    for func, timing, pass_guard, scalar in staged:
         vectorize = _VectorizePass(driver.apply_function)
         manager = (
             PassManager(guard=pass_guard)
@@ -381,8 +378,11 @@ def compile_module_planned(module: Module, config: VectorizerConfig,
         with span("compile.function", function=func.name,
                   config=config.name):
             manager.run_function(func, result=timing)
+            # Read the scalar remarks only now: if the apply pass cannot
+            # snapshot the scalar result, the guard replays the scalar
+            # passes, rewriting their remark logs.
             results.append(_finish(func, config, timing, vectorize,
-                                   pass_guard, scalar_remarks))
+                                   pass_guard, _scalar_remarks(scalar)))
     return results
 
 

@@ -7,7 +7,7 @@ through:
 
 * :mod:`diagnostics` — a structured :class:`CompilerError` taxonomy and
   the remark stream surfaced on :class:`~repro.opt.pipelines.CompileResult`.
-* :mod:`guard` — per-pass snapshot/rollback (via
+* :mod:`guard` — snapshot/rollback of every pass (via
   :func:`repro.ir.cloning.clone_function`) and the differential-execution
   oracle that demotes miscompiles back to the scalar baseline.
 * :mod:`budget` — resource budgets bounding look-ahead evaluations,

@@ -200,7 +200,6 @@ class FaultInjector:
             specs = [specs]
         self.specs = list(specs)
         self.seed = seed
-        self._rng = random.Random(seed)
         self.fired: list[tuple[str, str]] = []
 
     # ------------------------------------------------------------------
@@ -250,21 +249,25 @@ class FaultInjector:
         if spec.kind == "raise":
             self.fired.append((name, spec.kind))
             raise InjectedFault(name)
+        # One RNG per injection, keyed by what is being injected into:
+        # a pass the guard replays on the same IR gets the same
+        # corruption as on its first run.
+        rng = random.Random(f"{self.seed}:{name}:{func.name}")
         injected = False
         if spec.kind == "corrupt-swap-operands":
-            injected = self._swap_operands(func)
+            injected = self._swap_operands(func, rng)
         elif spec.kind == "corrupt-dangling-operand":
-            injected = self._dangle_operand(func)
+            injected = self._dangle_operand(func, rng)
         elif spec.kind == "corrupt-detach":
-            injected = self._detach_instruction(func)
+            injected = self._detach_instruction(func, rng)
         elif spec.kind == "corrupt-type-clobber":
-            injected = self._clobber_type(func)
+            injected = self._clobber_type(func, rng)
         if injected:
             self.fired.append((name, spec.kind))
 
     # ---- corruptions ---------------------------------------------------
 
-    def _swap_operands(self, func: Function) -> bool:
+    def _swap_operands(self, func: Function, rng: random.Random) -> bool:
         """Miscompile without breaking structural validity: swap the
         operands of a non-commutative binary instruction, or — when the
         function is all-commutative, the common case in this paper's
@@ -278,7 +281,7 @@ class FaultInjector:
             and inst.operands[0] is not inst.operands[1]
         ]
         if noncomm:
-            inst = self._rng.choice(noncomm)
+            inst = rng.choice(noncomm)
             lhs, rhs = inst.operands[0], inst.operands[1]
             inst.set_operand(0, rhs)
             inst.set_operand(1, lhs)
@@ -292,11 +295,11 @@ class FaultInjector:
         ]
         if not comm:
             return False
-        inst = self._rng.choice(comm)
+        inst = rng.choice(comm)
         inst.set_operand(0, inst.operands[1])
         return True
 
-    def _dangle_operand(self, func: Function) -> bool:
+    def _dangle_operand(self, func: Function, rng: random.Random) -> bool:
         """Point one operand at an instruction that is in no function."""
         candidates = [
             (inst, index)
@@ -306,14 +309,16 @@ class FaultInjector:
         ]
         if not candidates:
             return False
-        inst, index = self._rng.choice(candidates)
+        inst, index = rng.choice(candidates)
         original = inst.operands[index]
         opcode = "fadd" if original.type.is_float else "add"
-        orphan = BinaryOperator(opcode, original, original)
+        # A fixed name keeps object addresses out of the verifier's
+        # message, so remark text is reproducible.
+        orphan = BinaryOperator(opcode, original, original, name="orphan")
         inst.set_operand(index, orphan)
         return True
 
-    def _clobber_type(self, func: Function) -> bool:
+    def _clobber_type(self, func: Function, rng: random.Random) -> bool:
         """Rewrite one scalar instruction's result type to a 2-lane
         vector of itself."""
         from ..ir.types import vector_of
@@ -324,11 +329,11 @@ class FaultInjector:
         ]
         if not candidates:
             return False
-        inst = self._rng.choice(candidates)
+        inst = rng.choice(candidates)
         inst.type = vector_of(inst.type, 2)
         return True
 
-    def _detach_instruction(self, func: Function) -> bool:
+    def _detach_instruction(self, func: Function, rng: random.Random) -> bool:
         """Remove one still-used instruction from its block."""
         candidates = [
             inst for inst in func.instructions()
@@ -336,7 +341,7 @@ class FaultInjector:
         ]
         if not candidates:
             return False
-        inst = self._rng.choice(candidates)
+        inst = rng.choice(candidates)
         inst.parent.remove(inst)
         return True
 

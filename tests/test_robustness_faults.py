@@ -177,3 +177,49 @@ def test_injection_is_deterministic():
 
         outputs.append((print_function(func), tuple(faults.fired)))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("make_config", CONFIGS[:1] + CONFIGS[2:],
+                         ids=[c().name for c in CONFIGS[:1] + CONFIGS[2:]])
+@pytest.mark.parametrize("kernel_name", ["453.intersect-quadratic",
+                                         "453.vsumsqr"])
+def test_uncloneable_recovery_state_never_escapes(kernel_name,
+                                                  make_config, seed):
+    """Type clobbers after every pass can leave even the restored
+    recovery state uncloneable; the guard must fall back to the input
+    function instead of raising the clone's TypeError."""
+    _, func = ALL_KERNELS[kernel_name].build()
+    faults = FaultInjector(FaultSpec("*", "corrupt-type-clobber"), seed=seed)
+    compile_function(func, make_config(), guard="guarded", faults=faults)
+    verify_function(func)
+
+
+@pytest.mark.parametrize("kind", [
+    "corrupt-swap-operands", "corrupt-dangling-operand", "corrupt-detach",
+    "corrupt-type-clobber",
+])
+def test_replayed_pass_injects_the_same_corruption(kind):
+    """A guard replay reruns a pass on the same IR; the injector must
+    corrupt it the same way both times, with no object address in what
+    the verifier reports."""
+    from repro.ir import print_function
+    from repro.ir.verifier import VerificationError
+    from repro.opt.passmanager import PassManager
+
+    faults = FaultInjector(FaultSpec("cse", kind), seed=5)
+    outputs = []
+    for _ in range(2):
+        _, func = ALL_KERNELS["433.mult-su2"].build()
+        manager = PassManager().add("cse", lambda func: False)
+        faults.instrument(manager)
+        manager.run_function(func)
+        try:
+            verify_function(func)
+            problem = ""
+        except (VerificationError, TypeError) as exc:
+            problem = str(exc)
+        assert "%<" not in problem
+        outputs.append((print_function(func), problem))
+    assert faults.fired == [("cse", kind)] * 2
+    assert outputs[0] == outputs[1]

@@ -208,6 +208,59 @@ class TestPassGuard:
         )
         assert outcome.equivalent, outcome.detail
 
+    def test_clean_compile_takes_three_snapshots_and_no_replay(self):
+        """The scalar passes share one entry snapshot; only slp and
+        dce-post are snapshotted on their own."""
+        from repro import obs
+        from repro.kernels.catalog import ALL_KERNELS
+
+        _, func = ALL_KERNELS["453.boy-surface"].build()
+        obs.metrics.set_publishing(True)
+        result = compile_function(func, VectorizerConfig.lslp(),
+                                  guard="guarded")
+        counters = obs.metrics.registry().snapshot()
+        assert result.rolled_back == []
+        assert result.report.num_vectorized > 0
+        assert 0 < counters["guard.snapshots"] <= 3
+        assert counters.get("guard.replays", 0) == 0
+        # one verify for the scalar segment, one each for slp, dce-post
+        assert counters["guard.verifies"] == 3
+
+    def test_failing_pass_replays_its_segment_once(self):
+        from repro import obs
+
+        _, func = build()
+        obs.metrics.set_publishing(True)
+        result = compile_function(
+            func, VectorizerConfig.lslp(), guard="guarded",
+            faults=FaultInjector(FaultSpec("instcombine", "raise")),
+        )
+        assert obs.metrics.registry().snapshot()["guard.replays"] == 1
+        assert result.rolled_back == ["instcombine"]
+
+    def test_replay_leaves_no_trace_of_the_failed_attempt(self):
+        """The optimistic attempt runs unroll on corrupt IR; its timings
+        and decline remarks must not survive the replay."""
+        from repro.kernels.catalog import ALL_KERNELS
+
+        kernel = ALL_KERNELS["loop-dot"]
+        _, clean_func = kernel.build()
+        clean = compile_function(clean_func, VectorizerConfig.lslp(),
+                                 guard="guarded")
+        _, func = kernel.build()
+        result = compile_function(
+            func, VectorizerConfig.lslp(), guard="guarded",
+            faults=FaultInjector(FaultSpec("inline", "corrupt-detach")),
+        )
+        assert result.rolled_back == ["inline"]
+        names = [timing.name for timing in result.timing.timings]
+        assert names == [timing.name for timing in clean.timing.timings]
+        unroll = [r.render() for r in result.remarks
+                  if r.pass_name == "unroll"]
+        assert unroll == [r.render() for r in clean.remarks
+                          if r.pass_name == "unroll"]
+        assert print_function(func) == print_function(clean_func)
+
     def test_unguarded_compile_still_raises(self):
         _, func = build()
         faults = FaultInjector(FaultSpec("instcombine", "raise"))
