@@ -95,8 +95,7 @@ def cross_check(module: Module, func: Function,
                 base_args: Optional[dict] = None,
                 runs: int = 3, base_seed: int = 0,
                 backend: str = "compiled",
-                source: Optional[str] = None,
-                vector_mode: str = "auto") -> CrossCheckResult:
+                source: Optional[str] = None) -> CrossCheckResult:
     """Run ``func`` under both tiers on fresh seeded memories.
 
     Every argument sweep from :func:`seeded_arg_sets` executes twice —
@@ -108,8 +107,7 @@ def cross_check(module: Module, func: Function,
         # emit once up front; per-run executors then share the source
         # (load_compiled memoizes by content hash)
         probe = TieredExecutor(module, MemoryImage(module), target,
-                               backend=backend,
-                               vector_mode=vector_mode)
+                               backend=backend)
         source = probe.source
     for index, args in enumerate(
         seeded_arg_sets(func, base_args, runs, base_seed)
@@ -127,8 +125,7 @@ def cross_check(module: Module, func: Function,
         except Exception as exc:
             ref_err = exc
         executor = TieredExecutor(module, mem_cmp, target,
-                                  backend=backend, source=source,
-                                  vector_mode=vector_mode)
+                                  backend=backend, source=source)
         tier_run = None
         try:
             tier_run = executor.run(func.name, args)

@@ -5,8 +5,9 @@ everything that can change a compile's outcome: the kernel text (mini-C
 source or printed IR), the full :class:`VectorizerConfig` (including the
 budget and the score function, by qualified name), the cost-model
 target's :class:`TargetDescription`, the pipeline name, the guard/verify
-settings, and the repro version — so a new repro release or a tweaked
-opcode cost can never serve a stale artifact.  Keys are process-stable
+settings, the repro version and the backend's ``EMIT_VERSION`` — so a
+new repro release, a new generated-source shape or a tweaked opcode
+cost can never serve a stale artifact.  Keys are process-stable
 (pure content hashing, no Python ``hash()``), which the cross-process
 tests assert.
 
@@ -82,9 +83,13 @@ def compute_key(payload_kind: str, payload: str,
     ``payload_kind`` is ``"source"`` (mini-C text) or ``"ir"`` (printed
     IR); the two never collide even for identical text.
     """
+    # Imported here so loading the cache does not load the backend.
+    from ..backend.emit import EMIT_VERSION
+
     document = {
         "schema": CACHE_SCHEMA,
         "repro": REPRO_VERSION,
+        "emit": EMIT_VERSION,
         "pipeline": pipeline,
         "payload_kind": payload_kind,
         "payload": payload,
@@ -132,7 +137,7 @@ class CacheEntry:
     #: execution backend the artifact was produced/verified for
     #: ("interp" | "compiled" | "auto")
     backend: str = "interp"
-    #: flat Python/NumPy source from :mod:`repro.backend.emit`; empty
+    #: flat Python source from :mod:`repro.backend.emit`; empty
     #: for interpreter-only artifacts.  A warm hit hands this straight
     #: to :func:`repro.backend.runtime.load_compiled` — zero re-emits.
     generated_source: str = ""

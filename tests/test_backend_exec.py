@@ -1,18 +1,24 @@
 """Differential tests for the compiled execution backend.
 
-Every catalog kernel, in both vector rendering modes, must reproduce
-the interpreter *exactly*: return values, final memory, and the
-simulated cycle accounting (cycles / instructions retired / opcode
-counts).  Control flow (loops, diamonds), calls (including recursion)
-and the error paths (bounds, step limit, call depth, missing
-arguments) are exercised with hand-built IR.
+Every catalog kernel must reproduce the interpreter *exactly*: return
+values, final memory, and the simulated cycle accounting (cycles /
+instructions retired / opcode counts).  Control flow (loops, diamonds),
+calls (including recursion), wide vectors and the error paths (bounds,
+step limit, call depth, missing arguments) are exercised with
+hand-built or parsed IR.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.backend import (
+    EMIT_VERSION,
     CompiledModule,
     TieredExecutor,
     clear_load_cache,
@@ -24,6 +30,7 @@ from repro.costmodel.targets import target_by_name
 from repro.interp.interpreter import Interpreter, InterpreterError
 from repro.interp.memory import MemoryImage
 from repro.ir import F64, Function, GlobalArray, I64, IRBuilder, Module
+from repro.ir.parser import parse_module
 from repro.kernels.catalog import EVALUATION_KERNELS
 from repro.opt.pipelines import compile_function
 from repro.slp.vectorizer import VectorizerConfig
@@ -38,19 +45,18 @@ def _build(kernel, config):
 
 
 # ---------------------------------------------------------------------------
-# Catalog sweep: both configs, both rendering modes, exact equality
+# Catalog sweep: both configs, exact equality
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["unrolled", "numpy"])
 @pytest.mark.parametrize(
     "kernel", EVALUATION_KERNELS, ids=lambda k: k.name
 )
-def test_catalog_lslp_exact(kernel, mode):
+def test_catalog_lslp_exact(kernel):
     module, func = _build(kernel, VectorizerConfig.lslp())
     result = cross_check(
         module, func, TARGET, base_args=dict(kernel.default_args),
-        runs=2, vector_mode=mode,
+        runs=2,
     )
     assert result.ok, result.render()
     assert result.compiled_runs == result.runs
@@ -223,7 +229,9 @@ def test_load_cache_memoizes_by_content():
 def test_version_mismatch_rejected():
     m, f = loop_module()
     emitted = emit_module(m, TARGET)
-    source = emitted.source.replace("'version': 1", "'version': 999")
+    source = emitted.source.replace(f"'version': {EMIT_VERSION}",
+                                    "'version': 999")
+    assert source != emitted.source
     clear_load_cache()
     with pytest.raises(ValueError, match="version"):
         CompiledModule(source)
@@ -253,3 +261,128 @@ def test_interp_backend_is_plain_interpreter():
     assert run.tier == "interp"
     assert not run.fallback
     assert executor.compiled is None
+
+
+# ---------------------------------------------------------------------------
+# Wide vectors and the generated module's imports
+# ---------------------------------------------------------------------------
+
+
+WIDE_IR = """\
+module "wide"
+
+@A = global [64 x i32]
+@B = global [64 x i32]
+@C = global [64 x i32]
+
+define void @wide(i64 %i) {
+entry:
+  %ptr = gep i32* @A, i64 %i
+  %ptr1 = gep i32* @B, i64 %i
+  %ptr2 = gep i32* @C, i64 %i
+  %vld = load <16 x i32>, i32* %ptr
+  %vld1 = load <16 x i32>, i32* %ptr1
+  %add = add <16 x i32> %vld, <16 x i32> %vld1
+  %mul = mul <16 x i32> %add, <16 x i32> %vld1
+  %shuf = shufflevector <16 x i32> %mul, <16 x i32> %vld, \
+[1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 2, 5, 8, 11, 14]
+  %splat = splat i32 0, 16
+  %cmp = icmp slt <16 x i32> %shuf, <16 x i32> %splat
+  %sel = select <16 x i1> %cmp, <16 x i32> %vld, <16 x i32> %shuf
+  %splat1 = splat i32 3, 16
+  %sdiv = sdiv <16 x i32> %sel, <16 x i32> %splat1
+  store <16 x i32> %sdiv, i32* %ptr2
+  ret void
+}
+"""
+
+
+def test_sixteen_lane_module_served_compiled():
+    """Lane count does not change the rendering: a 16-lane module with
+    a vector ``sdiv`` is served by the compiled tier, exactly."""
+    module = parse_module(WIDE_IR)
+    assert emit_module(module, TARGET).unsupported == {}
+    result = cross_check(module, module.get_function("wide"), TARGET,
+                         base_args={"i": 4}, runs=3)
+    assert result.ok, result.render()
+    assert result.compiled_runs == result.runs == 3
+
+
+def test_compiled_tier_does_not_import_numpy():
+    """Generated modules are plain Python: emitting, loading and running
+    one must not pull NumPy into the process."""
+    program = (
+        "import sys\n"
+        "from repro.backend import TieredExecutor\n"
+        "from repro.costmodel.targets import target_by_name\n"
+        "from repro.interp.memory import MemoryImage\n"
+        "from repro.kernels.catalog import EVALUATION_KERNELS\n"
+        "from repro.opt.pipelines import compile_function\n"
+        "from repro.slp.vectorizer import VectorizerConfig\n"
+        "kernel = EVALUATION_KERNELS[0]\n"
+        "module, func = kernel.build()\n"
+        "target = target_by_name('skylake-like')\n"
+        "compile_function(func, VectorizerConfig.lslp(), target)\n"
+        "memory = MemoryImage(module)\n"
+        "memory.randomize(0)\n"
+        "executor = TieredExecutor(module, memory, target,"
+        " backend='compiled')\n"
+        "run = executor.run(func.name, dict(kernel.default_args))\n"
+        "assert run.tier == 'compiled'\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", program], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def _lane_sweep_ir(width: int, lanes: int) -> str:
+    """The ``WIDE_IR`` op mix at any element width and lane count."""
+    elem = f"i{width}"
+    vec = f"<{lanes} x {elem}>"
+    shuffle = ", ".join(str((3 * lane + 1) % (2 * lanes))
+                        for lane in range(lanes))
+    return f"""\
+module "sweep"
+
+@A = global [128 x {elem}]
+@B = global [128 x {elem}]
+@C = global [128 x {elem}]
+
+define void @sweep(i64 %i) {{
+entry:
+  %ptr = gep {elem}* @A, i64 %i
+  %ptr1 = gep {elem}* @B, i64 %i
+  %ptr2 = gep {elem}* @C, i64 %i
+  %vld = load {vec}, {elem}* %ptr
+  %vld1 = load {vec}, {elem}* %ptr1
+  %add = add {vec} %vld, {vec} %vld1
+  %mul = mul {vec} %add, {vec} %vld1
+  %shuf = shufflevector {vec} %mul, {vec} %vld, [{shuffle}]
+  %splat = splat {elem} 0, {lanes}
+  %cmp = icmp slt {vec} %shuf, {vec} %splat
+  %sel = select <{lanes} x i1> %cmp, {vec} %vld, {vec} %shuf
+  %splat1 = splat {elem} 3, {lanes}
+  %sdiv = sdiv {vec} %sel, {vec} %splat1
+  %splat2 = splat {elem} 2, {lanes}
+  %shl = shl {vec} %sdiv, {vec} %splat2
+  store {vec} %shl, {elem}* %ptr2
+  ret void
+}}
+"""
+
+
+@pytest.mark.parametrize("lanes", [2, 8, 32])
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_lane_and_width_sweep_served_compiled(width, lanes):
+    """Every integer element width and lane count, on both sides of
+    the old 16-lane rendering switch, renders one way and reproduces
+    the interpreter exactly, wrap-around included."""
+    module = parse_module(_lane_sweep_ir(width, lanes))
+    assert emit_module(module, TARGET).unsupported == {}
+    result = cross_check(module, module.get_function("sweep"), TARGET,
+                         base_args={"i": 4}, runs=2)
+    assert result.ok, result.render()
+    assert result.compiled_runs == result.runs == 2

@@ -1,8 +1,8 @@
 """Tests for the content-addressed compile cache (repro.service.cache).
 
 The key contract: stable across processes and hash seeds, and a miss on
-*any* ingredient change (payload, config, target, pipeline, guard
-settings).  The storage contract: disk entries round-trip through JSON,
+*any* ingredient change (payload, config, target, pipeline, emitter
+version, guard settings).  The storage contract: disk entries round-trip through JSON,
 corruption is a miss (never a crash), and the LRU memory tier evicts in
 insertion order.
 """
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.backend import emit as backend_emit
 from repro.costmodel.targets import expensive_shuffle, skylake_like
 from repro.kernels.catalog import ALL_KERNELS
 from repro.service import (
@@ -113,6 +114,16 @@ def test_key_misses_on_pipeline_change():
     b = compute_key("source", KERNEL.source, config, target,
                     pipeline="o3+slp/v1")
     assert a != b
+
+
+def test_key_misses_on_emit_version_change(monkeypatch):
+    """Generated source of another emitter version is refused at load,
+    so it must never be served from the cache in the first place."""
+    job = _job(backend="auto")
+    before = job.cache_key()
+    monkeypatch.setattr(backend_emit, "EMIT_VERSION",
+                        backend_emit.EMIT_VERSION + 1)
+    assert job.cache_key() != before
 
 
 # ---------------------------------------------------------------------------
