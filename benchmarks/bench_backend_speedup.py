@@ -26,6 +26,7 @@ import pytest
 from repro.backend import TieredExecutor
 from repro.costmodel.targets import skylake_like, target_by_name
 from repro.experiments.reporting import FigureTable
+from repro.interp.differential import Comparator
 from repro.interp.interpreter import Interpreter
 from repro.interp.memory import MemoryImage
 from repro.kernels.catalog import EVALUATION_KERNELS
@@ -81,7 +82,7 @@ def _measure(kernel) -> dict:
     ref = interp.run(func, args)
     cmp = executor.run(func.name, args).result
     assert ref.cycles == cmp.cycles
-    assert memory.same_contents(memory_c)
+    assert Comparator().memory_difference(memory, memory_c) is None
 
     return {
         "kernel": kernel.name,

@@ -16,7 +16,7 @@ from .emit import (
 )
 from .runtime import CompiledModule, clear_load_cache, load_compiled
 from .tiers import BACKEND_MODES, TierRun, TieredExecutor
-from .validate import CrossCheckResult, cross_check, values_equal
+from .validate import CrossCheckResult, cross_check
 
 __all__ = [
     "BACKEND_MODES",
@@ -31,5 +31,4 @@ __all__ = [
     "cross_check",
     "emit_module",
     "load_compiled",
-    "values_equal",
 ]

@@ -2,14 +2,14 @@
 
 The compiled tier is *never* trusted: any result it serves must be
 reproducible by running the same function on the interpreter with an
-identically-seeded fresh memory image.  Unlike the oracle's
-tolerance-based comparison (`repro.interp.differential`), this check
-is **exact**: return values must be equal bit-for-bit (NaN compares
-equal to NaN, signed zeros must match sign), every memory buffer must
-be element-wise identical, and the simulated-cycle accounting
-(``cycles``, ``instructions_retired``, ``opcode_counts``) must agree
-— the compiled tier reconstructs them from static tables and any
-drift there means the tables are wrong.
+identically-seeded fresh memory image.  The runs come from the same
+seeded sweep as the oracle's and are judged by the same
+:class:`~repro.interp.differential.Comparator`, here with tolerance 0:
+return values and every memory element must be bit-exact (NaN equals
+only NaN, signed zeros must match sign), and the simulated-cycle
+accounting (``cycles``, ``instructions_retired``, ``opcode_counts``)
+must agree — the compiled tier reconstructs them from static tables
+and any drift there means the tables are wrong.
 
 Both sides raising is equivalent *when the exception class matches*
 (e.g. both hit the step limit or both trap on division by zero); the
@@ -19,12 +19,11 @@ compiled tier executes whole blocks before checking, so error-path
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..costmodel.tti import TargetCostModel
-from ..interp.differential import seeded_arg_sets
+from ..interp.differential import Comparator, seeded_sweep
 from ..interp.interpreter import Interpreter
 from ..interp.memory import MemoryImage
 from ..ir.function import Function, Module
@@ -51,45 +50,6 @@ class CrossCheckResult:
         )
 
 
-def _scalars_equal(a, b) -> bool:
-    if isinstance(a, float) or isinstance(b, float):
-        if not (isinstance(a, float) and isinstance(b, float)):
-            return False
-        if math.isnan(a) or math.isnan(b):
-            return math.isnan(a) and math.isnan(b)
-        if a == 0.0 and b == 0.0:
-            return math.copysign(1.0, a) == math.copysign(1.0, b)
-        return a == b
-    return type(a) is type(b) and a == b
-
-
-def values_equal(a, b) -> bool:
-    """Exact equality for interpreter-shaped values."""
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, list) or isinstance(b, list):
-        if not (isinstance(a, list) and isinstance(b, list)):
-            return False
-        return len(a) == len(b) and all(
-            _scalars_equal(x, y) for x, y in zip(a, b)
-        )
-    return _scalars_equal(a, b)
-
-
-def _memories_equal(a: MemoryImage, b: MemoryImage) -> Optional[str]:
-    arrays_a, arrays_b = a.arrays(), b.arrays()
-    if set(arrays_a) != set(arrays_b):
-        return f"buffer sets differ: {set(arrays_a) ^ set(arrays_b)}"
-    for name in sorted(arrays_a):
-        va, vb = arrays_a[name], arrays_b[name]
-        if len(va) != len(vb):
-            return f"@{name} length {len(va)} != {len(vb)}"
-        for i, (x, y) in enumerate(zip(va, vb)):
-            if not _scalars_equal(x, y):
-                return f"@{name}[{i}]: interp {x!r} != compiled {y!r}"
-    return None
-
-
 def cross_check(module: Module, func: Function,
                 target: TargetCostModel,
                 base_args: Optional[dict] = None,
@@ -98,9 +58,10 @@ def cross_check(module: Module, func: Function,
                 source: Optional[str] = None) -> CrossCheckResult:
     """Run ``func`` under both tiers on fresh seeded memories.
 
-    Every argument sweep from :func:`seeded_arg_sets` executes twice —
-    once interpreted, once through the requested backend — and the
-    results, final memories, and cycle accounting must match exactly.
+    Every run of :func:`~repro.interp.differential.seeded_sweep`
+    executes twice — once interpreted, once through the requested
+    backend — and the results, final memories, and cycle accounting
+    must match exactly.
     """
     outcome = CrossCheckResult(ok=True)
     if backend != "interp" and source is None:
@@ -109,26 +70,22 @@ def cross_check(module: Module, func: Function,
         probe = TieredExecutor(module, MemoryImage(module), target,
                                backend=backend)
         source = probe.source
-    for index, args in enumerate(
-        seeded_arg_sets(func, base_args, runs, base_seed)
-    ):
-        seed = base_seed + index
-        mem_ref = MemoryImage(module)
-        mem_ref.randomize(seed)
-        mem_cmp = mem_ref.clone()
+    for run in seeded_sweep(module, func, base_args, runs, base_seed):
+        mem_ref = run.image_for(module)
+        mem_cmp = run.image_for(module)
 
         ref_err: Optional[BaseException] = None
         cmp_err: Optional[BaseException] = None
         ref_result = cmp_result = None
         try:
-            ref_result = Interpreter(mem_ref, target).run(func, args)
+            ref_result = Interpreter(mem_ref, target).run(func, run.args)
         except Exception as exc:
             ref_err = exc
         executor = TieredExecutor(module, mem_cmp, target,
                                   backend=backend, source=source)
         tier_run = None
         try:
-            tier_run = executor.run(func.name, args)
+            tier_run = executor.run(func.name, run.args)
         except Exception as exc:
             cmp_err = exc
 
@@ -146,19 +103,11 @@ def cross_check(module: Module, func: Function,
                     != type(cmp_err).__name__):
                 outcome.ok = False
                 outcome.mismatches.append(
-                    f"run {index}: interp raised {ref_err!r}, "
+                    f"run {run.index}: interp raised {ref_err!r}, "
                     f"backend raised {cmp_err!r}"
                 )
             continue
 
-        if not values_equal(ref_result.return_value,
-                            cmp_result.return_value):
-            outcome.ok = False
-            outcome.mismatches.append(
-                f"run {index}: return {ref_result.return_value!r} "
-                f"!= {cmp_result.return_value!r}"
-            )
-            continue
         if (ref_result.cycles != cmp_result.cycles
                 or ref_result.instructions_retired
                 != cmp_result.instructions_retired
@@ -166,17 +115,18 @@ def cross_check(module: Module, func: Function,
                 != cmp_result.opcode_counts):
             outcome.ok = False
             outcome.mismatches.append(
-                f"run {index}: accounting diverged "
+                f"run {run.index}: accounting diverged "
                 f"(cycles {ref_result.cycles} vs {cmp_result.cycles}, "
                 f"retired {ref_result.instructions_retired} vs "
                 f"{cmp_result.instructions_retired})"
             )
             continue
-        memory_diff = _memories_equal(mem_ref, mem_cmp)
-        if memory_diff is not None:
+        difference = Comparator().run_difference(ref_result, mem_ref,
+                                                 cmp_result, mem_cmp)
+        if difference is not None:
             outcome.ok = False
-            outcome.mismatches.append(f"run {index}: {memory_diff}")
+            outcome.mismatches.append(f"run {run.index}: {difference}")
     return outcome
 
 
-__all__ = ["CrossCheckResult", "cross_check", "values_equal"]
+__all__ = ["CrossCheckResult", "cross_check"]

@@ -375,9 +375,8 @@ def cmd_compile(args) -> int:
         print(print_module(module))
     module_meter = ModuleMeter.for_budget(config.budget)
     for func in module.functions.values():
-        result = compile_function(func, config, target,
-                                  verify_each=args.verify_each,
-                                  guard=guard, module_meter=module_meter)
+        result = compile_function(func, config, target, guard=guard,
+                                  module_meter=module_meter)
         _print_remarks(config_remarks + result.remarks, args.remarks)
         config_remarks = []
         if result.rolled_back:
@@ -443,8 +442,8 @@ def cmd_run(args) -> int:
         if guard is None:
             raise SystemExit("error: --verify requires the guard "
                              "(drop --no-guard)")
-        oracle = DifferentialOracle.sweeping(
-            module, func, args=runtime_args, runs=verify_runs,
+        oracle = DifferentialOracle(
+            module, args=runtime_args, runs=verify_runs,
             base_seed=args.seed, target=target,
         )
     result = compile_function(func, config, target, guard=guard,
@@ -965,8 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-function graph-builder statistics plus the "
              "metrics registry (=json: one canonical-JSON line)",
     )
-    p_compile.add_argument("--verify-each", action="store_true",
-                           help="run the IR verifier after every pass")
     p_compile.set_defaults(handler=cmd_compile)
 
     p_run = sub.add_parser("run", help="compile then interpret")

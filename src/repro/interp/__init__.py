@@ -8,15 +8,18 @@ measurements.
 
 from .batch import sweep, SweepResult
 from .differential import (
+    Comparator,
     compare_runs,
     DifferentialOutcome,
     KernelFactory,
     run_on_fresh_memory,
+    seeded_sweep,
 )
 from .interpreter import ExecutionResult, Interpreter, InterpreterError
 from .memory import MemoryImage, Pointer
 
 __all__ = [
+    "Comparator",
     "compare_runs",
     "DifferentialOutcome",
     "ExecutionResult",
@@ -26,6 +29,7 @@ __all__ = [
     "MemoryImage",
     "Pointer",
     "run_on_fresh_memory",
+    "seeded_sweep",
     "sweep",
     "SweepResult",
 ]

@@ -84,23 +84,6 @@ class MemoryImage:
             copy._elem_is_float[name] = self._elem_is_float[name]
         return copy
 
-    def same_contents(self, other: "MemoryImage",
-                      float_tolerance: float = 1e-9) -> bool:
-        """Buffer-by-buffer equality (floats within a tolerance)."""
-        if self._buffers.keys() != other._buffers.keys():
-            return False
-        for name, buffer in self._buffers.items():
-            other_buffer = other._buffers[name]
-            if len(buffer) != len(other_buffer):
-                return False
-            if self._elem_is_float[name]:
-                for a, b in zip(buffer, other_buffer):
-                    if abs(a - b) > float_tolerance * max(1.0, abs(a), abs(b)):
-                        return False
-            elif buffer != other_buffer:
-                return False
-        return True
-
     def arrays(self) -> dict[str, list]:
         return {name: list(buf) for name, buf in self._buffers.items()}
 

@@ -45,10 +45,6 @@ class PipelineResult:
 class PassManager:
     """Runs registered passes over functions or whole modules.
 
-    With ``verify_each=True`` the IR verifier runs after every pass and
-    failures name the offending pass — the standard way to localize a
-    mis-compiling transformation.
-
     With a ``guard`` (a :class:`repro.robustness.PassGuard`) the passes
     run under snapshot isolation: a pass that raises, or leaves IR the
     verifier rejects, is rolled back and recorded as a diagnostic
@@ -56,9 +52,8 @@ class PassManager:
     exactly the historical fail-fast one.
     """
 
-    def __init__(self, verify_each: bool = False, guard=None):
+    def __init__(self, guard=None):
         self._passes: list[tuple[str, FunctionPass]] = []
-        self.verify_each = verify_each
         self.guard = guard
         #: remark lists the passes append to, in pass order; a guard
         #: replay truncates them back to where the failed attempt began
@@ -96,18 +91,6 @@ class PassManager:
                 changed = pass_fn(func)
                 elapsed = time.perf_counter() - start
                 result.timings.append(PassTiming(name, elapsed, changed))
-                if self.verify_each:
-                    from ..ir.verifier import (
-                        VerificationError,
-                        verify_function,
-                    )
-
-                    try:
-                        verify_function(func)
-                    except VerificationError as error:
-                        raise VerificationError(
-                            f"IR invalid after pass {name!r}: {error}"
-                        ) from error
         return result
 
     def run_module(self, module: Module) -> PipelineResult:

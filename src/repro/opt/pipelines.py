@@ -101,7 +101,7 @@ class _VectorizePass:
         return report.num_vectorized > 0
 
 
-def scalar_pipeline(verify_each: bool = False, guard=None,
+def scalar_pipeline(guard=None,
                     ifconvert: str = "off",
                     target: Optional[TargetCostModel] = None,
                     unroll_max_trip: Optional[int] = None,
@@ -134,7 +134,7 @@ def scalar_pipeline(verify_each: bool = False, guard=None,
                           target=unroll_target, remarks=unroll_remarks)
 
     manager = (
-        PassManager(verify_each=verify_each, guard=guard)
+        PassManager(guard=guard)
         .add("inline", run_inline)
         .add("constfold", run_constfold)
         .add("instcombine", run_instcombine)
@@ -167,7 +167,6 @@ def scalar_pipeline(verify_each: bool = False, guard=None,
 
 def build_pipeline(config: VectorizerConfig,
                    target: Optional[TargetCostModel] = None,
-                   verify_each: bool = False,
                    guard=None,
                    faults: Optional[FaultInjector] = None,
                    module_meter: Optional[ModuleMeter] = None,
@@ -180,8 +179,8 @@ def build_pipeline(config: VectorizerConfig,
     target = target if target is not None else skylake_like()
     if faults is not None:
         target = faults.perturb_cost_model(target)
-    manager = scalar_pipeline(verify_each=verify_each, guard=guard,
-                              ifconvert=config.ifconvert, target=target,
+    manager = scalar_pipeline(guard=guard, ifconvert=config.ifconvert,
+                              target=target,
                               unroll_max_trip=config.unroll_max_trip,
                               loop_vectorize=config.loop_vectorize)
     vectorize = None
@@ -224,7 +223,6 @@ def _resolve_guard(guard: GuardSpec,
 
 def compile_function(func: Function, config: VectorizerConfig,
                      target: Optional[TargetCostModel] = None,
-                     verify_each: bool = False,
                      guard: GuardSpec = None,
                      oracle: Optional[DifferentialOracle] = None,
                      faults: Optional[FaultInjector] = None,
@@ -234,8 +232,8 @@ def compile_function(func: Function, config: VectorizerConfig,
     policy = _resolve_guard(guard, oracle)
     pass_guard = PassGuard(policy) if policy is not None else None
     manager, vectorize = build_pipeline(
-        config, target, verify_each=verify_each, guard=pass_guard,
-        faults=faults, module_meter=module_meter,
+        config, target, guard=pass_guard, faults=faults,
+        module_meter=module_meter,
     )
     with span("compile.function", function=func.name,
               config=config.name):

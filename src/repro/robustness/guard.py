@@ -99,66 +99,41 @@ class FunctionSnapshot:
 class DifferentialOracle:
     """Compares a reference and a transformed function by execution.
 
-    Both functions run on identically seeded random memory images; every
-    observable (final array contents, return value) must agree for every
-    seed.  ``args`` supplies runtime arguments (kernels typically take a
-    base index ``i``).  ``arg_sets``, when given, pairs one argument set
-    with each seed — a property-style sweep over both memory contents
-    *and* runtime arguments (see
-    :func:`repro.interp.differential.seeded_arg_sets`); a mismatch
-    reports exactly which seed/argument set diverged.
+    The oracle replays ``runs`` runs of
+    :func:`repro.interp.differential.seeded_sweep` — run 0 is ``args``
+    on memory drawn from ``base_seed``; later runs draw fresh images and
+    vary the integer arguments — and both functions must agree on every
+    observable (final array contents, return value) under the shared
+    :class:`~repro.interp.differential.Comparator` with
+    ``float_tolerance``.  A mismatch, or a run that fails to execute,
+    reports which run diverged.  Runs accepted within the tolerance but
+    not bit-exact count in ``oracle.inexact_runs``; their worst ULP
+    distance goes to the ``oracle.ulp`` histogram.
     """
 
     module: Module
     args: Optional[dict[str, object]] = None
-    seeds: tuple[int, ...] = (0,)
+    runs: int = 1
+    base_seed: int = 0
     float_tolerance: float = 1e-9
     target: Optional["TargetCostModel"] = None
-    #: one argument set per seed; None = ``args`` for every seed
-    arg_sets: Optional[tuple[dict, ...]] = None
-
-    @staticmethod
-    def sweeping(module: Module, func: Function,
-                 args: Optional[dict[str, object]] = None,
-                 runs: int = 1, base_seed: int = 0,
-                 target: Optional["TargetCostModel"] = None,
-                 float_tolerance: float = 1e-9) -> "DifferentialOracle":
-        """An oracle replaying ``runs`` seeded (memory, argument) pairs.
-
-        Run 0 reproduces the historical single-replay check (base seed,
-        given args); runs 1..N-1 draw fresh memory images and vary the
-        integer arguments deterministically per seed."""
-        from ..interp.differential import seeded_arg_sets
-
-        runs = max(1, runs)
-        return DifferentialOracle(
-            module,
-            args=args,
-            seeds=tuple(base_seed + run for run in range(runs)),
-            float_tolerance=float_tolerance,
-            target=target,
-            arg_sets=tuple(seeded_arg_sets(func, args, runs, base_seed)),
-        )
 
     def check(self, reference: Function,
               transformed: Function) -> Optional[str]:
         """``None`` when equivalent, else a human-readable mismatch
-        naming the seed (and argument set) that diverged."""
+        naming the run (seed and argument set) that diverged."""
         # Imported lazily: repro.interp pulls in repro.opt at package
         # import time, which would cycle back into this module.
-        from ..interp.differential import compare_runs
+        from ..interp.differential import compare_run, seeded_sweep
 
-        for run, seed in enumerate(self.seeds):
-            args = self.args
-            where = f"seed {seed}"
-            if self.arg_sets is not None:
-                args = self.arg_sets[run]
-                where = f"run {run} (seed {seed}, args {args})"
+        for run in seeded_sweep(self.module, reference, self.args,
+                                self.runs, self.base_seed):
+            where = f"run {run.index} (seed {run.seed}, args {run.args})"
             try:
-                outcome = compare_runs(
-                    (self.module, reference), (self.module, transformed),
-                    args=args, seed=seed, target=self.target,
-                    float_tolerance=self.float_tolerance,
+                outcome = compare_run(
+                    run, (self.module, reference),
+                    (self.module, transformed), self.target,
+                    self.float_tolerance,
                 )
             except Exception as exc:
                 # Corrupt-but-valid IR can crash the interpreter
@@ -167,6 +142,9 @@ class DifferentialOracle:
                 return f"{where}: execution failed: {exc}"
             if not outcome.equivalent:
                 return f"{where}: {outcome.detail}"
+            if outcome.inexact:
+                _metrics.add("oracle.inexact_runs")
+                _metrics.observe("oracle.ulp", outcome.worst_ulp)
         return None
 
 

@@ -379,8 +379,7 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
     # Imported here (not module top) to keep worker start cheap when the
     # pool uses the spawn start method.
     from ..obs import records as _records
-    from ..opt.pipelines import compile_function, compile_module_planned
-    from ..slp.vectorizer import MODULE_SELECT_MODES
+    from ..opt.pipelines import compile_module
 
     module = _load_module(job)
     target = TargetCostModel(job.target_desc)
@@ -402,46 +401,27 @@ def _execute_job_inner(job: CompileJob) -> JobOutcome:
     previous_sink = (
         _records.set_plan_sink(captured) if job.capture_plans else None
     )
+    # The oracle's skip remarks go just before their function's own.
+    skipped: dict[str, list[dict[str, Any]]] = {}
     try:
-        if (config.enabled
-                and config.plan_select in MODULE_SELECT_MODES):
-            with span("job.compile", job=job.name, config=config.name):
-                results = compile_module_planned(
-                    module, config, target, guard=guard,
-                    module_meter=module_meter,
-                    oracles=lambda func: _oracle_for(
-                        job, module, func, target, remarks
-                    ),
-                )
-            for result in results:
-                merged.merge(result.report)
-                remarks.extend(
-                    remark_to_dict(r) for r in result.remarks
-                )
-                rolled_back.extend(
-                    f"{result.function.name}:{name}"
-                    for name in result.rolled_back
-                )
-                compile_seconds += result.compile_seconds
-                static_cost += result.static_cost
-        else:
-            for func in module.functions.values():
-                oracle = _oracle_for(job, module, func, target, remarks)
-                with span("job.compile", job=job.name,
-                          function=func.name, config=config.name):
-                    result = compile_function(
-                        func, config, target, guard=guard, oracle=oracle,
-                        module_meter=module_meter,
-                    )
-                merged.merge(result.report)
-                remarks.extend(
-                    remark_to_dict(r) for r in result.remarks
-                )
-                rolled_back.extend(
-                    f"{func.name}:{name}" for name in result.rolled_back
-                )
-                compile_seconds += result.compile_seconds
-                static_cost += result.static_cost
+        with span("job.compile", job=job.name, config=config.name):
+            results = compile_module(
+                module, config, target, guard=guard,
+                module_meter=module_meter,
+                oracles=lambda func: _oracle_for(
+                    job, module, func, target,
+                    skipped.setdefault(func.name, []),
+                ),
+            )
+        for result in results:
+            name = result.function.name
+            remarks.extend(skipped.get(name, ()))
+            merged.merge(result.report)
+            remarks.extend(remark_to_dict(r) for r in result.remarks)
+            rolled_back.extend(f"{name}:{step}"
+                               for step in result.rolled_back)
+            compile_seconds += result.compile_seconds
+            static_cost += result.static_cost
     finally:
         if job.capture_plans:
             _records.set_plan_sink(previous_sink)
@@ -482,8 +462,7 @@ def _load_module(job: CompileJob) -> Module:
 
 
 def _oracle_for(job: CompileJob, module: Module, func,
-                target: TargetCostModel,
-                remarks: Optional[list[dict[str, Any]]] = None
+                target: TargetCostModel, remarks: list[dict[str, Any]]
                 ) -> Optional[DifferentialOracle]:
     if job.verify_runs <= 0:
         return None
@@ -493,25 +472,22 @@ def _oracle_for(job: CompileJob, module: Module, func,
         # Without runtime arguments the oracle cannot execute the
         # function; skip verification rather than report a spurious
         # mismatch — but say so, instead of silently not verifying.
-        if remarks is not None:
-            remarks.append(remark_to_dict(Remark(
-                severity=Severity.WARNING,
-                category="oracle",
-                message=(
-                    "differential verification skipped: no runtime "
-                    "value for argument(s) "
-                    + ", ".join(f"%{name}" for name in missing)
-                ),
-                function=func.name,
-                pass_name="oracle",
-                phase="oracle",
-                remediation="pass --arg NAME=VALUE for every argument",
-            )))
+        remarks.append(remark_to_dict(Remark(
+            severity=Severity.WARNING,
+            category="oracle",
+            message=(
+                "differential verification skipped: no runtime "
+                "value for argument(s) "
+                + ", ".join(f"%{name}" for name in missing)
+            ),
+            function=func.name,
+            pass_name="oracle",
+            phase="oracle",
+            remediation="pass --arg NAME=VALUE for every argument",
+        )))
         return None
-    return DifferentialOracle.sweeping(
-        module, func, args=args, runs=job.verify_runs,
-        base_seed=job.verify_seed, target=target,
-    )
+    return DifferentialOracle(module, args=args, runs=job.verify_runs,
+                              base_seed=job.verify_seed, target=target)
 
 
 def _backend_stage(job: CompileJob, module: Module,

@@ -15,7 +15,7 @@ from repro.slp import VectorizerConfig
 def test_extended_kernel_correct_under_config(kernel, config):
     reference = kernel.build()
     module, func = kernel.build()
-    compile_function(func, config, verify_each=True)
+    compile_function(func, config, guard="strict")
     verify_function(func)
     outcome = compare_runs(reference, (module, func),
                            args=kernel.default_args)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.interp import (
+    Comparator,
     ExecutionResult,
     Interpreter,
     InterpreterError,
@@ -227,9 +228,9 @@ class TestMemoryImage:
         module, _ = build_kernel("long A[4];\nvoid kernel(long i) { A[i] = 1; }")
         m1 = MemoryImage(module)
         m2 = m1.clone()
-        assert m1.same_contents(m2)
+        assert Comparator().memory_difference(m1, m2) is None
         m2.set_array("A", [0, 0, 0, 1])
-        assert not m1.same_contents(m2)
+        assert Comparator().memory_difference(m1, m2) == "@A[3]: 0 != 1"
 
     def test_float_tolerance(self):
         module, _ = build_kernel(
@@ -239,7 +240,11 @@ class TestMemoryImage:
         m2 = m1.clone()
         m1.set_array("X", [1.0, 0.0])
         m2.set_array("X", [1.0 + 1e-13, 0.0])
-        assert m1.same_contents(m2)
+        tolerant = Comparator(1e-9)
+        assert tolerant.memory_difference(m1, m2) is None
+        assert tolerant.inexact == 1 and tolerant.worst_ulp == 450
+        # tolerance 0 is exact
+        assert Comparator().memory_difference(m1, m2) is not None
 
     def test_randomize_is_deterministic(self):
         module, _ = build_kernel("long A[4];\nvoid kernel(long i) { A[i] = 1; }")
@@ -247,9 +252,9 @@ class TestMemoryImage:
         m2 = MemoryImage(module)
         m1.randomize(seed=42)
         m2.randomize(seed=42)
-        assert m1.same_contents(m2)
+        assert Comparator().memory_difference(m1, m2) is None
         m2.randomize(seed=43)
-        assert not m1.same_contents(m2)
+        assert Comparator().memory_difference(m1, m2) is not None
 
     def test_set_array_size_check(self):
         module, _ = build_kernel("long A[4];\nvoid kernel(long i) { A[i] = 1; }")

@@ -245,11 +245,12 @@ class TestVerifyEach:
         for kernel in EVALUATION_KERNELS:
             _, func = kernel.build()
             compile_function(func, VectorizerConfig.lslp(),
-                             verify_each=True)
+                             guard="strict")
 
     def test_broken_pass_is_named(self):
-        from repro.ir import Function, I64, IRBuilder, VerificationError
+        from repro.ir import Function, I64, IRBuilder
         from repro.opt import PassManager
+        from repro.robustness import GuardPolicy, InvalidIRError, PassGuard
 
         func = Function("f", [("i", I64)])
         builder = IRBuilder(func.add_block("entry"))
@@ -264,6 +265,9 @@ class TestVerifyEach:
             block.append(first)  # def now after use
             return True
 
-        manager = PassManager(verify_each=True).add("evil", evil_pass)
-        with pytest.raises(VerificationError, match="after pass 'evil'"):
+        guard = PassGuard(GuardPolicy(mode="strict"))
+        manager = PassManager(guard=guard).add("evil", evil_pass)
+        with pytest.raises(InvalidIRError) as error:
             manager.run_function(func)
+        assert error.value.pass_name == "evil"
+        assert "pass 'evil'" in str(error.value)

@@ -196,7 +196,7 @@ def test_guarded_compile_survives_random_faults(
         faults = FaultInjector(FaultSpec(pass_name, kind), seed=fault_seed)
         policy = GuardPolicy(
             oracle=DifferentialOracle(module, args=run_args,
-                                      seeds=(seed,)),
+                                      base_seed=seed),
             oracle_reference="input",
         )
         result = compile_function(func, config, guard=policy,

@@ -370,7 +370,7 @@ class TestDifferentialOracle:
 
     def test_clean_compile_passes_oracle(self):
         module, func = build()
-        oracle = DifferentialOracle(module, args=ARGS, seeds=(0, 1, 2))
+        oracle = DifferentialOracle(module, args=ARGS, runs=3)
         result = compile_function(
             func, VectorizerConfig.lslp(), guard="guarded", oracle=oracle
         )
