@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, TYPE_CHECKING
 
+from ..obs import metrics as _metrics
 from .instructions import Instruction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,8 +69,11 @@ class BasicBlock:
 
     def remove(self, inst: Instruction) -> None:
         """Detach ``inst`` from this block (does not drop operand uses)."""
-        pos = self.index_of(inst)
-        del self._instructions[pos]
+        if inst.parent is not self:
+            raise ValueError(f"{inst!r} is not in block {self.name}")
+        # an identity scan, not index_of: after an earlier mutation that
+        # would rebuild the whole position dict for one removal
+        self._instructions.remove(inst)
         inst.parent = None
         self._invalidate_index()
 
@@ -85,6 +89,7 @@ class BasicBlock:
         if inst.parent is not self:
             raise ValueError(f"{inst!r} is not in block {self.name}")
         if not self._index_cache_valid:
+            _metrics.add("ir.index_rebuilds")
             self._index_cache = {
                 id(i): pos for pos, i in enumerate(self._instructions)
             }

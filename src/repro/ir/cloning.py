@@ -83,10 +83,13 @@ def clone_function(func: Function, name: Optional[str] = None) -> Function:
 
     The clone gets its own arguments, blocks and instructions (names
     preserved); constants, global arrays and callee functions stay
-    shared.  Control flow is cloned structurally — branch targets and
-    phi edges are remapped to the cloned blocks, and phi incoming values
-    may reference forward definitions (loop back-edges), so operand
-    remapping happens in a second pass once every instruction exists.
+    shared.  Control flow is cloned structurally: branch targets and
+    phi edges are remapped to the cloned blocks.  Operands are remapped
+    in the same walk that creates each instruction, so every use is
+    registered once.  Only operands defined later in block order (a
+    layout that is not in dominance order) are re-pointed afterwards,
+    and phi edges, which may name loop back-edge definitions, are added
+    once every instruction exists.
     """
     clone = Function(
         name if name is not None else func.name,
@@ -104,10 +107,8 @@ def clone_function(func: Function, name: Optional[str] = None) -> Function:
         clone.blocks.append(new_block)
         block_map[id(block)] = new_block
 
-    # Pass 1: clone every instruction.  Operands initially reference the
-    # *original* values (identity vmap); pass 2 rewrites them, which
-    # also handles defs that only appear later in block order.
     phis: list[tuple[Phi, Phi]] = []
+    forward: list[tuple[Instruction, int, Instruction]] = []
     for block in func.blocks:
         new_block = block_map[id(block)]
         for inst in block:
@@ -117,24 +118,24 @@ def clone_function(func: Function, name: Optional[str] = None) -> Function:
             elif isinstance(inst, Br):
                 copy = Br(block_map[id(inst.target)])
             elif isinstance(inst, CondBr):
-                copy = CondBr(inst.condition,
+                copy = CondBr(map_value(inst.condition, vmap),
                               block_map[id(inst.on_true)],
                               block_map[id(inst.on_false)])
             elif isinstance(inst, Ret):
-                copy = Ret(inst.return_value)
+                value = inst.return_value
+                copy = Ret(None if value is None else map_value(value, vmap))
             else:
-                copy = clone_instruction(inst, {})
+                copy = clone_instruction(inst, vmap)
+            for index, (mapped, operand) in enumerate(
+                    zip(copy.operands, inst.operands)):
+                if mapped is operand and isinstance(operand, Instruction):
+                    forward.append((copy, index, operand))
             copy.name = inst.name
             vmap[id(inst)] = copy
             new_block.append(copy)
 
-    # Pass 2: remap operands (and phi edges) to their clones.
-    for block in clone.blocks:
-        for inst in block:
-            for index, operand in enumerate(inst.operands):
-                mapped = vmap.get(id(operand))
-                if mapped is not None and mapped is not operand:
-                    inst.set_operand(index, mapped)
+    for copy, index, operand in forward:
+        copy.set_operand(index, map_value(operand, vmap))
     for original, copy in phis:
         for value, pred in original.incoming():
             copy.add_incoming(map_value(value, vmap), block_map[id(pred)])

@@ -11,6 +11,8 @@ vectors of scalars.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 class Type:
     """Base class for all IR types.
@@ -168,9 +170,11 @@ def vector_of(ty: Type, count: int) -> VectorType:
     return VectorType(ty, count)
 
 
+@lru_cache(maxsize=1024)
 def parse_type(text: str) -> Type:
     """Parse a type from its textual form, e.g. ``i64``, ``f32*``,
-    ``<4 x i32>``."""
+    ``<4 x i32>``.  Memoized: types are interned and immutable, and a
+    module's text repeats the same few spellings."""
     text = text.strip()
     if text.endswith("*"):
         return PointerType(parse_type(text[:-1]))

@@ -6,10 +6,10 @@ collect:
 
 * **Metrics exposition** — :func:`render_prometheus` turns a
   :class:`~repro.obs.metrics.MetricsRegistry` into Prometheus text
-  format (counters as ``_total``, histograms with the fixed
-  :data:`~repro.obs.metrics.DEFAULT_BUCKETS` bounds as cumulative
-  ``_bucket{le=...}`` series, circuit-breaker state as a
-  ``{shard=...}``-labeled gauge); :func:`render_metrics_json` is the
+  format (counters as ``_total``, histograms with their fixed bounds,
+  :data:`~repro.obs.metrics.DEFAULT_BUCKETS` unless they name their
+  own, as cumulative ``_bucket{le=...}`` series, circuit-breaker state
+  as a ``{shard=...}``-labeled gauge); :func:`render_metrics_json` is the
   canonical-JSON sibling.  Both are deterministic: name-sorted, stable
   number formatting, no timestamps.
 * **Trace stitching** — pool workers cannot append to the parent's

@@ -53,39 +53,36 @@ def run_cse(func: Function) -> bool:
     changed = False
     aa = AliasAnalysis()
     for block in func.blocks:
-        progress = True
-        while progress:
-            progress = False
-            seen: dict = {}
-            loads: dict = {}
-            for inst in block.instructions:
-                if isinstance(inst, Call):
-                    loads.clear()
-                    continue
-                if isinstance(inst, Store):
-                    # keep loads the store provably cannot touch
-                    loads = {
-                        key: load
-                        for key, load in loads.items()
-                        if not aa.instructions_may_conflict(load, inst)
-                    }
-                    continue
-                key = _expression_key(inst)
-                table = seen
-                if key is None:
-                    key = _load_key(inst)
-                    table = loads
-                if key is None:
-                    continue
-                original = table.get(key)
-                if original is None:
-                    table[key] = inst
-                    continue
-                inst.replace_all_uses_with(original)
-                inst.erase_from_parent()
-                changed = True
-                progress = True
-                break  # operand identities changed; rebuild the table
+        # One in-order walk (EarlyCSE): a merge rewrites only users later
+        # in the walk, and those are keyed after the rewrite.
+        seen: dict = {}
+        loads: dict = {}
+        for inst in block.instructions:
+            if isinstance(inst, Call):
+                loads.clear()
+                continue
+            if isinstance(inst, Store):
+                # keep loads the store provably cannot touch
+                loads = {
+                    key: load
+                    for key, load in loads.items()
+                    if not aa.instructions_may_conflict(load, inst)
+                }
+                continue
+            key = _expression_key(inst)
+            table = seen
+            if key is None:
+                key = _load_key(inst)
+                table = loads
+            if key is None:
+                continue
+            original = table.get(key)
+            if original is None:
+                table[key] = inst
+                continue
+            inst.replace_all_uses_with(original)
+            inst.erase_from_parent()
+            changed = True
     return changed
 
 

@@ -45,6 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..costmodel.tti import TargetCostModel
     from ..opt.passmanager import PipelineResult
 
+#: ``oracle.ulp`` bucket bounds: 1, 2, 4 .. 2**52 ULPs, so every
+#: distance the oracle's tolerance accepts lands in a finite bucket
+ULP_BUCKETS: tuple[float, ...] = tuple(float(2 ** k) for k in range(53))
+
 
 class FunctionSnapshot:
     """A restorable deep copy of one function's body.
@@ -144,7 +148,8 @@ class DifferentialOracle:
                 return f"{where}: {outcome.detail}"
             if outcome.inexact:
                 _metrics.add("oracle.inexact_runs")
-                _metrics.observe("oracle.ulp", outcome.worst_ulp)
+                _metrics.observe("oracle.ulp", outcome.worst_ulp,
+                                 ULP_BUCKETS)
         return None
 
 

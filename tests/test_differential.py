@@ -140,12 +140,31 @@ def test_guarded_compile_rolls_back_an_infinite_store():
     assert "inf" in miscompile.message
 
 
+def test_oracle_ulp_distances_land_in_finite_buckets():
+    """An accepted run ~4500 ULPs off (inside the 1e-9 tolerance) is
+    counted below the 2**52-ULP top bound, not in ``+Inf``."""
+    from repro.obs import metrics
+
+    module, reference = storing(1.0)
+    _, transformed = storing(1.0 + 1e-12)
+    metrics.set_publishing(True)
+    assert DifferentialOracle(module, args=ARGS).check(
+        reference, transformed) is None
+    ulp = metrics.registry().snapshot()["oracle.ulp"]
+    assert ulp["count"] == 1 and 4096 < ulp["max"] <= 8192
+    assert ulp["buckets"]["4096"] == 0 and ulp["buckets"]["8192"] == 1
+    assert ulp["buckets"]["4503599627370496"] == 1
+
+
 def _inexact_runs(kernel: str, capsys) -> int:
     assert main(["run", os.path.join(LIT, kernel), "--arg", "i=1",
                  "--seed", "1", "--verify", "--stats=json"]) == 0
     out = capsys.readouterr().out
     assert "outputs match" in out
     stats = json.loads(out.strip().splitlines()[-1])
+    ulp = stats.get("oracle.ulp")
+    if ulp is not None:  # every sample sits in a finite bucket
+        assert ulp["buckets"]["4503599627370496"] == ulp["count"]
     return stats.get("oracle.inexact_runs", 0)
 
 

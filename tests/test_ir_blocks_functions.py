@@ -67,6 +67,24 @@ class TestBasicBlock:
         block.remove(a)
         assert block.index_of(b) == 0
 
+    def test_erasing_duplicates_does_not_rebuild_the_index(self):
+        from repro.obs import metrics
+
+        func, block = make_func()
+        i = func.argument("i")
+        duplicates = [
+            block.append(BinaryOperator("add", i, Constant(I64, 1)))
+            for _ in range(50)
+        ]
+        last = block.append(Ret())
+        metrics.set_publishing(True)
+        assert block.index_of(last) == 50
+        for inst in duplicates[1:]:
+            inst.erase_from_parent()
+        assert block.index_of(last) == 1
+        assert block.instructions == [duplicates[0], last]
+        assert metrics.registry().counter("ir.index_rebuilds").value == 2
+
     def test_index_of_foreign_instruction(self):
         func, block = make_func()
         other = BinaryOperator("add", func.argument("i"), Constant(I64, 1))

@@ -149,6 +149,60 @@ class TestCSE:
         subs = [inst for inst in func.entry if inst.opcode == "sub"]
         assert len(subs) == 2
 
+    def test_chained_duplicates_merge_in_one_walk(self):
+        module = Module("m")
+        arr = module.add_global(GlobalArray("A", I64, 64))
+        func = Function("f", [("a", I64), ("b", I64), ("c", I64)])
+        builder = IRBuilder(func.add_block("entry"))
+        a, b, c = (func.argument(name) for name in "abc")
+        t1 = builder.add(a, b)
+        t2 = builder.add(a, b)
+        u1 = builder.mul(t1, c)
+        u2 = builder.mul(t2, c)  # a duplicate only once t2 becomes t1
+        builder.store(u1, builder.gep(arr, a))
+        builder.store(u2, builder.gep(arr, b))
+        builder.ret()
+        assert run_cse(func)
+        verify_function(func)
+        opcodes = [inst.opcode for inst in func.entry]
+        assert opcodes.count("add") == 1
+        assert opcodes.count("mul") == 1
+        stores = [inst for inst in func.entry if inst.opcode == "store"]
+        assert stores[0].value is stores[1].value
+        assert not run_cse(func)
+
+    def test_store_between_duplicate_loads_splits_them(self):
+        module, func, builder, a = make_env()
+        i = func.argument("i")
+        ptr = builder.gep(a, i)
+        l1 = builder.load(ptr)
+        l2 = builder.load(ptr)  # merges into l1
+        builder.store(builder.add(l1, l2), ptr)
+        l3 = builder.load(ptr)  # after the store: must stay
+        builder.store(l3, builder.gep(a, builder.add(i, builder.i64(1))))
+        builder.ret()
+        assert run_cse(func)
+        verify_function(func)
+        loads = [inst for inst in func.entry if inst.opcode == "load"]
+        assert loads == [l1, l3]
+
+    def test_one_run_reaches_the_fixed_point_after_o3(self):
+        from repro.kernels.catalog import ALL_KERNELS
+        from repro.kernels.suites import build_suite, SUITE_SPECS
+        from repro.opt import compile_module
+        from repro.slp import VectorizerConfig
+
+        modules = [kernel.build()[0] for kernel in ALL_KERNELS.values()]
+        modules += [build_suite(spec) for spec in SUITE_SPECS]
+        checked = 0
+        for module in modules:
+            compile_module(module, VectorizerConfig.o3())
+            for func in module.functions.values():
+                assert not run_cse(func), func.name
+                checked += 1
+        assert checked == len(ALL_KERNELS) + sum(
+            spec.total_functions for spec in SUITE_SPECS)
+
 
 class TestInstCombine:
     @pytest.mark.parametrize("opcode,identity", [
